@@ -50,10 +50,9 @@ def _write(path: str, text: str):
 
 def _options(args) -> SearchOptions:
     return SearchOptions(
-        strict_trivial=getattr(args, "strict_trivial", False),
-        induced=getattr(args, "induced", False),
-        workers=getattr(args, "threads", 1),
-        time_limit=getattr(args, "time_limit", None),
+        strict_trivial=args.strict_trivial,
+        induced=args.induced,
+        time_limit=args.time_limit,
     )
 
 
@@ -235,16 +234,13 @@ def _cmd_gen_3dm(args) -> int:
     return _emit(write_3dm(inst), args.out)
 
 
-def _add_solver_flags(p, with_threads=True):
+def _add_solver_flags(p):
     p.add_argument("--strict-trivial", action="store_true",
                    help="only a 1-vertex remainder counts as trivial")
     p.add_argument("--induced", action="store_true",
                    help="require star leaves to be pairwise non-adjacent")
-    if with_threads:
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for the search (default 1)")
-        p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
-                       help="give up and report inconclusive after this long")
+    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
+                   help="give up and report inconclusive after this long")
 
 
 def _build_parser() -> argparse.ArgumentParser:

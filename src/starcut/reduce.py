@@ -368,8 +368,11 @@ def cover_to_cut(red: ReducedInstance, cover: tuple[int, ...]) -> CutFamily:
 
     One star per cover vertex in increasing order: the center is the cover
     vertex, the leaves are its not-covered neighbors that no earlier star
-    already absorbed.  Together the stars remove every original vertex, so
-    the cliques fall apart into k+2 separate components.
+    already absorbed.  The stars remove every original vertex that is in the
+    cover or has a neighbor there, so the cliques fall apart into k+2
+    separate components.  An isolated source vertex outside the cover would
+    survive and, tapped into every clique, hold them together; such covers
+    raise ValueError.
     """
     inst = red.source
     if not isinstance(inst, VertexCoverInstance):
@@ -382,6 +385,14 @@ def cover_to_cut(red: ReducedInstance, cover: tuple[int, ...]) -> CutFamily:
     if not is_vertex_cover(inst.graph, chosen):
         raise ValueError("chosen vertices do not cover every source edge")
     in_cover = set(chosen)
+    stranded = [
+        v for v in range(inst.graph.n) if not inst.graph.degree(v) and v not in in_cover
+    ]
+    if stranded:
+        raise ValueError(
+            f"isolated source vertices {stranded} are outside the cover; "
+            "no star of the encoding removes them"
+        )
     used: set[int] = set()
     stars = []
     for x in chosen:

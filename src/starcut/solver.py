@@ -5,12 +5,13 @@ stars whose removal disconnects the host graph or leaves a trivial remainder.
 Kind "structure" requires every element to be a K_{1,m} exactly; kind
 "substructure" admits any K_{1,j} with j <= m, including the bare K_1.
 
-Search scheme: iterative deepening on the family size t.  Families are sets,
-so each one is enumerated exactly once by requiring strictly increasing
-center positions under a fixed vertex permutation.  The decision pass may use
-a heuristic permutation; when it succeeds, a second pass under the identity
-permutation recovers the lexicographically least certificate.  Every pruning
-rule is correctness-preserving and individually toggleable so tests can prove
+Search scheme: iterative deepening on the family size t, one sequential
+pass per size.  Families are sets, so each one is enumerated exactly once by
+requiring strictly increasing center ids.  Centers and leaves are tried in
+increasing id order, so the first family a pass finds is the
+lexicographically least one and serves directly as the certificate.  The
+caller's time_limit bounds the whole call.  Every pruning rule is
+correctness-preserving and individually toggleable so tests can prove
 value-equality with pruning off.
 
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
@@ -22,7 +23,7 @@ primitives, which is what makes the agreement tests meaningful.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -47,21 +48,17 @@ class SearchOptions:
     strict_trivial narrows "trivial remainder" to exactly one vertex.
     induced additionally requires star leaves to be pairwise non-adjacent
     (a diagnostic mode; the default validity check is center-leaf edges
-    only).  The prune_* switches never change results; they exist so tests
-    can demonstrate that.  workers > 1 splits decision passes over
-    first-choice subtrees; certificates always come from a deterministic
-    sequential pass.  time_limit (seconds) turns an unfinished search into
-    an incomplete result instead of an unbounded run.
+    only).  The prune_* switches never change results or certificates; they
+    exist so tests can demonstrate that.  time_limit (seconds) bounds the
+    whole call: a search it stops becomes an incomplete result.
     """
 
     strict_trivial: bool = False
     induced: bool = False
     prune_untouched: bool = True
-    prune_damage_order: bool = True
     prune_symmetry: bool = True
     prune_degree_bound: bool = True
     prune_center_skip: bool = True
-    workers: int = 1
     time_limit: float | None = None
 
 
@@ -161,41 +158,23 @@ def _leaves_independent(masks: tuple[int, ...], leaves: tuple[int, ...]) -> bool
 
 
 class _Engine:
-    """One search pass: a fixed center permutation plus its memo tables."""
+    """The search state shared by every family size: memo tables and deadline."""
 
-    def __init__(
-        self, g: Graph, m: int, kind: str, opts: SearchOptions, damage_order: bool
-    ):
+    def __init__(self, g: Graph, m: int, kind: str, opts: SearchOptions):
         self.g = g
         self.m = m
-        self.kind = kind
         self.opts = opts
         self.exact = kind == STRUCTURE
         n = g.n
         masks = g.masks
-        order = list(range(n))
-        if damage_order:
-            # Boundary damage of the widest star at c: distinct vertices
-            # adjacent to N[c] but outside it.  Centers that tear the most
-            # go first; ties stay in id order for determinism.
-            scores = []
-            for c in range(n):
-                closed = masks[c] | (1 << c)
-                touch = closed
-                for u in _bits(closed):
-                    touch |= masks[u]
-                scores.append((touch & ~closed).bit_count())
-            order.sort(key=lambda c: (-scores[c], c))
-        self.order = order
-        # suffix_touch[p]: every vertex some star centered at position >= p
-        # could remove.  Position here means index into the permutation.
+        # suffix_touch[c]: every vertex some star centered at c or above
+        # could remove.
         suffix = [0] * (n + 1)
-        for p in range(n - 1, -1, -1):
-            c = order[p]
-            suffix[p] = suffix[p + 1] | masks[c] | (1 << c)
+        for c in range(n - 1, -1, -1):
+            suffix[c] = suffix[c + 1] | masks[c] | (1 << c)
         self.suffix_touch = suffix
-        # memo_tau[alive]: proven "no single cutting star at any position
-        # above this threshold inside `alive`".  Family-size independent.
+        # memo_tau[alive]: proven "no single cutting star centered above this
+        # threshold inside `alive`".  Family-size independent.
         self.memo_tau: dict[int, int] = {}
         self.nodes = 0
         self.deadline: float | None = None
@@ -274,20 +253,15 @@ class _Engine:
 
     # -- last level: place one final star ---------------------------------
 
-    def last_star(
-        self, alive: int, min_pos: int, max_pos: int | None = None
-    ) -> Star | None:
-        """First star at a position in (min_pos, max_pos] that cuts `alive`.
+    def last_star(self, alive: int, pmax: int) -> Star | None:
+        """Least star by (center, leaves), centered above pmax, that cuts `alive`.
 
-        Scanning follows the engine permutation, so under the identity
-        permutation the returned star is the least one by (center, leaves).
-        Misses tighten the per-alive position threshold memo.
+        Misses tighten the per-alive center threshold memo.
         """
         g, m = self.g, self.m
         opts = self.opts
         tau = self.memo_tau.get(alive, g.n - 1)
-        hi = tau if max_pos is None else min(tau, max_pos)
-        if hi <= min_pos:
+        if tau <= pmax:
             return None
         if alive.bit_count() >= m + 3 and self._is_clique(alive):
             # No vertex deletion disconnects a complete graph, and one star
@@ -295,9 +269,8 @@ class _Engine:
             self.memo_tau[alive] = -1
             return None
         masks = g.masks
-        for p in range(min_pos + 1, hi + 1):
+        for c in range(pmax + 1, tau + 1):
             self._check_deadline()
-            c = self.order[p]
             cbit = 1 << c
             if not alive & cbit:
                 continue
@@ -316,21 +289,15 @@ class _Engine:
                     self._check_deadline()
                 if _mask_cut(g, alive & ~smask, opts.strict_trivial):
                     return Star(c, leaves)
-        if max_pos is None or max_pos >= tau:
-            self.memo_tau[alive] = min_pos
+        self.memo_tau[alive] = pmax
         return None
 
     # -- interior levels ---------------------------------------------------
 
     def search(
-        self,
-        alive: int,
-        pmax: int,
-        slots: int,
-        chosen: list[Star],
-        root_positions: Iterable[int] | None = None,
+        self, alive: int, pmax: int, slots: int, chosen: list[Star]
     ) -> list[Star] | None:
-        """Extend `chosen` by `slots` stars at positions above pmax."""
+        """Extend `chosen` by `slots` stars centered above pmax."""
         self.nodes += 1
         if not self.nodes & 0xFF:
             self._check_deadline()
@@ -347,12 +314,7 @@ class _Engine:
         g, m = self.g, self.m
         masks = g.masks
         seen: set[int] | None = set() if opts.prune_symmetry else None
-        if root_positions is not None and pmax < 0:
-            positions: Iterable[int] = root_positions
-        else:
-            positions = range(pmax + 1, g.n)
-        for p in positions:
-            c = self.order[p]
+        for c in range(pmax + 1, g.n):
             cbit = 1 << c
             if not alive & cbit:
                 continue
@@ -367,7 +329,7 @@ class _Engine:
                         continue
                     seen.add(smask)
                 got = self.search(
-                    alive & ~smask, p, slots - 1, chosen + [Star(c, leaves)]
+                    alive & ~smask, c, slots - 1, chosen + [Star(c, leaves)]
                 )
                 if got is not None:
                     return got
@@ -391,80 +353,24 @@ def _validate_inputs(g: Graph, m: int, t_max: int) -> None:
         )
 
 
-def _decide_chunk(args) -> tuple[bool, bool]:
-    """Worker body: does any cutting family start in this position range?"""
-    g, m, kind, opts, t, lo, hi = args
-    engine = _Engine(g, m, kind, opts, damage_order=opts.prune_damage_order)
-    if opts.time_limit is not None:
-        engine.deadline = time.monotonic() + opts.time_limit
-    try:
-        if t == 1:
-            star = engine.last_star(g.full_mask, lo - 1, max_pos=hi - 1)
-            return star is not None, True
-        got = engine.search(g.full_mask, -1, t, [], root_positions=range(lo, hi))
-        return got is not None, True
-    except _Deadline:
-        return False, False
-
-
-def _parallel_decide(
-    g: Graph, m: int, kind: str, opts: SearchOptions, t: int, deadline: float | None
-) -> tuple[bool, bool]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = max(1, min(opts.workers, g.n))
-    remaining = None
-    if deadline is not None:
-        remaining = max(deadline - time.monotonic(), 0.01)
-    child_opts = replace(opts, workers=1, time_limit=remaining)
-    step = -(-g.n // workers)
-    chunks = [(lo, min(lo + step, g.n)) for lo in range(0, g.n, step)]
-    args = [(g, m, kind, child_opts, t, lo, hi) for lo, hi in chunks]
-    found = False
-    complete = True
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for got, done in pool.map(_decide_chunk, args):
-            found = found or got
-            complete = complete and done
-    return found, complete
-
-
 def _connectivity(
     g: Graph, m: int, kind: str, t_max: int, options: SearchOptions | None
 ) -> SolveResult:
     opts = options or SearchOptions()
     _validate_inputs(g, m, t_max)
-    deadline = None
+    engine = _Engine(g, m, kind, opts)
     if opts.time_limit is not None:
-        deadline = time.monotonic() + opts.time_limit
-    decide = _Engine(g, m, kind, opts, damage_order=opts.prune_damage_order)
-    decide.deadline = deadline
+        engine.deadline = time.monotonic() + opts.time_limit
     cap = min(t_max, _family_size_cap(g, m, kind))
     for t in range(1, cap + 1):
-        if opts.workers > 1:
-            found, finished = _parallel_decide(g, m, kind, opts, t, deadline)
-            if not found and not finished:
-                return SolveResult(None, None, t - 1, False)
-            family = None
-            need_cert = found
-        else:
-            try:
-                family = decide.search(g.full_mask, -1, t, [])
-            except _Deadline:
-                return SolveResult(None, None, t - 1, False)
-            need_cert = family is not None and opts.prune_damage_order
-        if family is None and not need_cert:
+        try:
+            family = engine.search(g.full_mask, -1, t, [])
+        except _Deadline:
+            return SolveResult(None, None, t - 1, False)
+        if family is None:
             continue
-        if need_cert:
-            # Deterministic certificate pass: identity permutation explores
-            # families in lexicographic order, so the first hit is least.
-            # Existence is already settled, so this pass runs unbounded.
-            lex = _Engine(g, m, kind, opts, damage_order=False)
-            family = lex.search(g.full_mask, -1, t, [])
-            if family is None:
-                raise AssertionError("certificate pass lost a decided cut")
-        stars = tuple(sorted(family, key=Star.sort_key))
-        cert = CutFamily(kind, m, stars)
+        # Centers strictly increase along a family, so it is already sorted.
+        cert = CutFamily(kind, m, tuple(family))
         check = is_structure_cut if kind == STRUCTURE else is_substructure_cut
         if not check(g, cert, m, strict_trivial=opts.strict_trivial, induced=opts.induced):
             raise AssertionError("search produced a family its verifier rejects")

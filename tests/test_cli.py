@@ -63,14 +63,6 @@ def test_solve_inconclusive_on_deadline(files, capsys):
     assert capsys.readouterr().out == "kappa structure 1 = none\n"
 
 
-def test_solve_threads_match_sequential(files, capsys):
-    g = files("c5.graph", C5)
-    run(["solve", "--graph", g, "--M", "1", "--tmax", "3"])
-    seq = capsys.readouterr().out
-    run(["solve", "--graph", g, "--M", "1", "--tmax", "3", "--threads", "2"])
-    assert capsys.readouterr().out == seq
-
-
 def test_verify_yes_and_no(files, capsys):
     g = files("c5.graph", C5)
     good = files("good.cut", "cut structure 1 2\ns 1 2\ns 3 4\n")

@@ -18,6 +18,7 @@ from starcut import (
     VertexRole,
     audit_reduced_3dm,
     audit_reduced_vc,
+    build,
     complete,
     cover_to_cut,
     cycle,
@@ -196,6 +197,18 @@ def test_cover_to_cut_rejects_bad_covers():
     red2 = reduce_vertex_cover(VertexCoverInstance(path(4), 2))
     with pytest.raises(ValueError):
         cover_to_cut(red2, (0, 1, 2))  # over budget
+
+
+def test_cover_to_cut_names_stranded_isolated_vertices():
+    # Vertex 2 has no edges: no cover needs it, and no star of a cover
+    # without it can remove it, so it would keep every clique connected.
+    inst = VertexCoverInstance(build(4, [(0, 1), (1, 3)]), 2)
+    red = reduce_vertex_cover(inst)
+    with pytest.raises(ValueError, match=r"isolated source vertices \[2\]"):
+        cover_to_cut(red, (1,))
+    fam = cover_to_cut(red, (1, 2))
+    assert is_substructure_cut(red.graph, fam, red.m)
+    assert extract_cover(red, fam) == (1, 2)
 
 
 def test_cover_roundtrip_on_larger_graphs():

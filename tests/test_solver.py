@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from starcut import (
     complete,
     cycle,
     enumerate_stars,
+    gen_random_3dm,
     gen_random_graph,
     is_connected,
     is_structure_cut,
@@ -21,9 +24,11 @@ from starcut import (
     min_star_partition,
     oracle_connectivity,
     path,
+    reduce_3dm,
     star,
     structure_connectivity,
     substructure_connectivity,
+    write_cut,
 )
 
 BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -137,12 +142,11 @@ def test_time_limit_reports_incomplete():
     assert (res.value, res.certificate, res.bound, res.complete) == (None, None, 0, False)
 
 
-# -- result is independent of pruning and scheduling -------------------------
+# -- result is independent of pruning ---------------------------------------
 
 
 _PRUNE_FLAGS = (
     "prune_untouched",
-    "prune_damage_order",
     "prune_symmetry",
     "prune_degree_bound",
     "prune_center_skip",
@@ -166,11 +170,135 @@ def test_prune_toggles_do_not_change_answers(strict):
                 assert len(vals) == 1, f"options disagree on {g.edges()} m={m}: {vals}"
 
 
-def test_parallel_matches_sequential():
-    for g, *_ in connected_corpus(6, max_n=9, seed0=300):
-        seq = substructure_connectivity(g, 2, g.n)
-        par = substructure_connectivity(g, 2, g.n, SearchOptions(workers=2))
-        assert (seq.value, _cert(seq), seq.complete) == (par.value, _cert(par), par.complete)
+# -- pinned certificates ------------------------------------------------------
+#
+# Literal write_cut texts recorded from the earlier two-pass solver, whose
+# certificates came from a separate identity-order pass.  The single pass
+# must reproduce them exactly.
+
+
+def hypercube(d):
+    n = 1 << d
+    edges = [(v, v | 1 << i) for v in range(n) for i in range(d) if not v >> i & 1]
+    return build(n, edges)
+
+
+Q4_CERTS = {
+    (STRUCTURE, 1): "cut structure 1 3\ns 1 2\ns 7 8\ns 11 12\n",
+    (SUBSTRUCTURE, 1): "cut substructure 1 3\ns 1 2\ns 7 8\ns 11 12\n",
+    (STRUCTURE, 2): "cut structure 2 2\ns 1 2 3\ns 16 8 12\n",
+    (SUBSTRUCTURE, 2): "cut substructure 2 2\ns 1 2 3\ns 16 8 12\n",
+    (STRUCTURE, 3): "cut structure 3 2\ns 1 2 3 5\ns 16 8 12 14\n",
+    (SUBSTRUCTURE, 3): "cut substructure 3 2\ns 1 2 3\ns 16 8 12\n",
+}
+
+# Per graph of connected_corpus(12, max_n=8, seed0=100): the certificates
+# for (structure, M=1), (substructure, M=1), (structure, M=2),
+# (substructure, M=2), in that order.
+CORPUS_CERTS = [
+    (
+        "cut structure 1 1\ns 1 3\n",
+        "cut substructure 1 1\ns 1\n",
+        "cut structure 2 1\ns 1 2 3\n",
+        "cut substructure 2 1\ns 1\n",
+    ),
+    (
+        "cut structure 1 1\ns 2 3\n",
+        "cut substructure 1 1\ns 2 3\n",
+        "cut structure 2 1\ns 2 3 4\n",
+        "cut substructure 2 1\ns 2 3\n",
+    ),
+    (
+        "cut structure 1 1\ns 4 5\n",
+        "cut substructure 1 1\ns 4 5\n",
+        "cut structure 2 1\ns 3 4 5\n",
+        "cut substructure 2 1\ns 3 4 5\n",
+    ),
+    (
+        "cut structure 1 2\ns 4 5\ns 6 7\n",
+        "cut substructure 1 2\ns 4 5\ns 6 7\n",
+        "cut structure 2 2\ns 1 4 6\ns 2 7 8\n",
+        "cut substructure 2 2\ns 1 4\ns 6 7 8\n",
+    ),
+    (
+        "cut structure 1 2\ns 1 2\ns 3 6\n",
+        "cut substructure 1 2\ns 1\ns 3 6\n",
+        "cut structure 2 1\ns 1 3 6\n",
+        "cut substructure 2 1\ns 1 3 6\n",
+    ),
+    (
+        "cut structure 1 1\ns 1 2\n",
+        "cut substructure 1 1\ns 1\n",
+        "cut structure 2 1\ns 1 2 6\n",
+        "cut substructure 2 1\ns 1\n",
+    ),
+    (
+        "cut structure 1 1\ns 1 2\n",
+        "cut substructure 1 1\ns 1 2\n",
+        "cut structure 2 1\ns 1 2 3\n",
+        "cut substructure 2 1\ns 1 2\n",
+    ),
+    (
+        "cut structure 1 1\ns 2 3\n",
+        "cut substructure 1 1\ns 2 3\n",
+        "cut structure 2 1\ns 2 3 4\n",
+        "cut substructure 2 1\ns 2 3\n",
+    ),
+    (
+        "cut structure 1 1\ns 3 4\n",
+        "cut substructure 1 1\ns 3\n",
+        "cut structure 2 1\ns 4 3 5\n",
+        "cut substructure 2 1\ns 3\n",
+    ),
+    (
+        "cut structure 1 1\ns 2 4\n",
+        "cut substructure 1 1\ns 2\n",
+        "cut structure 2 1\ns 2 1 4\n",
+        "cut substructure 2 1\ns 2\n",
+    ),
+    (
+        "cut structure 1 2\ns 1 2\ns 3 6\n",
+        "cut substructure 1 2\ns 1 2\ns 3 6\n",
+        "cut structure 2 2\ns 1 2 4\ns 3 5 6\n",
+        "cut substructure 2 2\ns 1\ns 3 6 7\n",
+    ),
+    (
+        "cut structure 1 1\ns 1 2\n",
+        "cut substructure 1 1\ns 1\n",
+        "cut structure 2 1\ns 1 2 3\n",
+        "cut substructure 2 1\ns 1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind", [STRUCTURE, SUBSTRUCTURE])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_q4_certificates_pinned(kind, m):
+    fn = structure_connectivity if kind == STRUCTURE else substructure_connectivity
+    res = fn(hypercube(4), m, 16)
+    assert write_cut(res.certificate) == Q4_CERTS[kind, m]
+
+
+def test_corpus_certificates_pinned():
+    corpus = connected_corpus(12, max_n=8, seed0=100)
+    for (g, *_), want in zip(corpus, CORPUS_CERTS, strict=True):
+        got = tuple(
+            write_cut(fn(g, m, g.n).certificate)
+            for m in (1, 2)
+            for fn in (structure_connectivity, substructure_connectivity)
+        )
+        assert got == want, g.edges()
+
+
+def test_time_limit_bounds_the_whole_call():
+    # On this 190-vertex gadget the search runs for minutes and has not
+    # settled family size 1 after seconds; the deadline must stop it there.
+    red = reduce_3dm(gen_random_3dm(3, 4, True, 1), 5, allow_unrestricted=True)
+    t0 = time.monotonic()
+    res = structure_connectivity(red.graph, red.m, 3, SearchOptions(time_limit=0.2))
+    elapsed = time.monotonic() - t0
+    assert res.complete is False
+    assert elapsed < 1.0
 
 
 def test_solver_is_deterministic():
