@@ -91,7 +91,8 @@ def _cmd_verify(args) -> int:
     return EXIT_YES if ok else EXIT_NO
 
 
-def _cmd_reduce_3dm(args) -> int:
+def _gadget_3dm(args):
+    """Matching gadget: (reduction, source solver, gadget solver, decoder)."""
     inst = parse_3dm(_read(args.infile))
     red = reduce_3dm(
         inst,
@@ -99,21 +100,24 @@ def _cmd_reduce_3dm(args) -> int:
         allow_small_m=args.allow_small_m,
         allow_unrestricted=args.allow_unrestricted,
     )
-    _write(args.out_prefix + ".graph", write_graph(red.graph))
-    _write(args.out_prefix + ".roles", write_roles(red.roles))
-    print(
-        f"wrote {args.out_prefix}.graph {args.out_prefix}.roles"
-        f" ({red.graph.n} vertices, {red.graph.edge_count} edges, target {red.parameter})"
-    )
-    return EXIT_YES
+    return red, solve_3dm, structure_connectivity, extract_matching
 
 
-def _cmd_reduce_vc(args) -> int:
+def _gadget_vc(args):
+    """Cover gadget: (reduction, source solver, gadget solver, decoder)."""
     g = parse_graph(_read(args.graph))
-    inst = VertexCoverInstance(g, args.k)
-    red = reduce_vertex_cover(inst, args.M)
-    _write(args.out_prefix + ".graph", write_graph(red.graph))
-    _write(args.out_prefix + ".roles", write_roles(red.roles))
+    red = reduce_vertex_cover(VertexCoverInstance(g, args.k), args.M)
+    return red, solve_vertex_cover, substructure_connectivity, extract_cover
+
+
+def _write_gadget(prefix: str, red) -> None:
+    _write(prefix + ".graph", write_graph(red.graph))
+    _write(prefix + ".roles", write_roles(red.roles))
+
+
+def _cmd_reduce(args) -> int:
+    red = args.gadget(args)[0]
+    _write_gadget(args.out_prefix, red)
     print(
         f"wrote {args.out_prefix}.graph {args.out_prefix}.roles"
         f" ({red.graph.n} vertices, {red.graph.edge_count} edges, target {red.parameter})"
@@ -174,45 +178,24 @@ def _report(source_yes: bool, gadget: str, out_prefix, red) -> int:
     for line in lines:
         print(line)
     if out_prefix:
-        _write(out_prefix + ".graph", write_graph(red.graph))
-        _write(out_prefix + ".roles", write_roles(red.roles))
+        _write_gadget(out_prefix, red)
         _write(out_prefix + ".report", "\n".join(lines) + "\n")
     if verdict == "PASS":
         return EXIT_YES
     return EXIT_NO if verdict == "FAIL" else EXIT_INCONCLUSIVE
 
 
-def _cmd_roundtrip_3dm(args) -> int:
-    inst = parse_3dm(_read(args.infile))
-    red = reduce_3dm(
-        inst,
-        args.M,
-        allow_small_m=args.allow_small_m,
-        allow_unrestricted=args.allow_unrestricted,
-    )
-    source = solve_3dm(inst)
-    res = structure_connectivity(red.graph, red.m, inst.n, _options(args))
+def _cmd_roundtrip(args) -> int:
+    red, solve_source, solve_gadget, decode = args.gadget(args)
+    source = solve_source(red.source)
+    # red.parameter is the decision bound: ground-set size or cover budget
+    res = solve_gadget(red.graph, red.m, red.parameter, _options(args))
     if res.certificate is not None:
-        decoded = extract_matching(red, res.certificate)
+        decoded = decode(red, res.certificate)
         if decoded is None:
             print("decode none")
         else:
             print("decode " + " ".join(str(i + 1) for i in decoded))
-    return _report(source is not None, _gadget_decision(res), args.out_prefix, red)
-
-
-def _cmd_roundtrip_vc(args) -> int:
-    g = parse_graph(_read(args.graph))
-    inst = VertexCoverInstance(g, args.k)
-    red = reduce_vertex_cover(inst, args.M)
-    source = solve_vertex_cover(inst)
-    res = substructure_connectivity(red.graph, red.m, args.k, _options(args))
-    if res.certificate is not None:
-        decoded = extract_cover(red, res.certificate)
-        if decoded is None:
-            print("decode none")
-        else:
-            print("decode " + " ".join(str(v + 1) for v in decoded))
     return _report(source is not None, _gadget_decision(res), args.out_prefix, red)
 
 
@@ -275,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip the occurrence-count restriction check")
     p.add_argument("--allow-small-m", action="store_true",
                    help="permit M = 4 (default insists on M >= 5)")
-    p.set_defaults(func=_cmd_reduce_3dm)
+    p.set_defaults(func=_cmd_reduce, gadget=_gadget_3dm)
 
     p = sub.add_parser("reduce-vc", help="cover instance -> substructure gadget")
     p.add_argument("--graph", required=True)
@@ -283,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=None,
                    help="leaves per star; must equal the max degree (the default)")
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=_cmd_reduce_vc)
+    p.set_defaults(func=_cmd_reduce, gadget=_gadget_vc)
 
     p = sub.add_parser("oracle", help="independent brute-force references")
     osub = p.add_subparsers(dest="mode", required=True)
@@ -319,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--allow-small-m", action="store_true")
     q.add_argument("--out-prefix", default=None)
     _add_solver_flags(q)
-    q.set_defaults(func=_cmd_roundtrip_3dm)
+    q.set_defaults(func=_cmd_roundtrip, gadget=_gadget_3dm)
 
     q = rsub.add_parser("vc")
     q.add_argument("--graph", required=True)
@@ -327,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--M", type=int, default=None)
     q.add_argument("--out-prefix", default=None)
     _add_solver_flags(q)
-    q.set_defaults(func=_cmd_roundtrip_vc)
+    q.set_defaults(func=_cmd_roundtrip, gadget=_gadget_vc)
 
     p = sub.add_parser("gen", help="seeded random inputs")
     gsub = p.add_subparsers(dest="mode", required=True)

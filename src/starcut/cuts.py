@@ -64,10 +64,6 @@ def canonical_star(center: int, leaves: Iterable[int]) -> Star:
     return Star(center, ls)
 
 
-def star_vertices(s: Star) -> tuple[int, ...]:
-    return s.vertices()
-
-
 def star_valid_in(g: Graph, s: Star) -> bool:
     """True iff every leaf is adjacent to the center in g."""
     if s.center >= g.n or any(v >= g.n for v in s.leaves):
@@ -126,15 +122,6 @@ class CutFamily:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def vertex_set(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for s in self.elements:
-            out.extend(s.vertices())
-        return tuple(sorted(out))
-
-    def sorted_elements(self) -> tuple[Star, ...]:
-        return tuple(sorted(self.elements, key=Star.sort_key))
 
 
 def family_mask(family: CutFamily) -> int:

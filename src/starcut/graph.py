@@ -30,7 +30,7 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in set(self.adj[u]) if len(self.adj[u]) > 8 else v in self.adj[u]
+        return self.masks[u] >> v & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""

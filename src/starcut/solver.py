@@ -10,14 +10,19 @@ pass per size.  Families are sets, so each one is enumerated exactly once by
 requiring strictly increasing center ids.  Centers and leaves are tried in
 increasing id order, so the first family a pass finds is the
 lexicographically least one and serves directly as the certificate.  The
-caller's time_limit bounds the whole call.  Every pruning rule is
-correctness-preserving and individually toggleable so tests can prove
-value-equality with pruning off.
+caller's time_limit bounds the whole call.  Four pruning rules cut the
+search: a minimum-degree bound, an untouchable dominating core, hopeless
+centers, and the complete-graph shortcut at the last level; a per-alive-set
+memo remembers centers already ruled out there.  Each rule stays because
+switching it off was measured to slow the benchmark down.  Every rule is
+correctness-preserving; the prune_* options toggle the first three so tests
+can prove value-equality with pruning off.
 
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
 partition search.  It shares no search code with the solver beyond the graph
-primitives, which is what makes the agreement tests meaningful.
+primitives and the cut predicate, which is what makes the agreement tests
+meaningful.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .cuts import (
     canonical_star,
     is_structure_cut,
     is_substructure_cut,
+    remainder_is_cut,
 )
 from .graph import Graph, is_connected, mask_connected
 
@@ -48,15 +54,18 @@ class SearchOptions:
     strict_trivial narrows "trivial remainder" to exactly one vertex.
     induced additionally requires star leaves to be pairwise non-adjacent
     (a diagnostic mode; the default validity check is center-leaf edges
-    only).  The prune_* switches never change results or certificates; they
-    exist so tests can demonstrate that.  time_limit (seconds) bounds the
-    whole call: a search it stops becomes an incomplete result.
+    only).  time_limit (seconds) bounds the whole call: a search it stops
+    becomes an incomplete result.
+
+    The prune_* switches turn off one rule each: prune_degree_bound the
+    minimum-degree bound, prune_untouched the dominating-core test,
+    prune_center_skip the hopeless-center test.  They never change values
+    or certificates, only speed; tests use them to demonstrate that.
     """
 
     strict_trivial: bool = False
     induced: bool = False
     prune_untouched: bool = True
-    prune_symmetry: bool = True
     prune_degree_bound: bool = True
     prune_center_skip: bool = True
     time_limit: float | None = None
@@ -91,13 +100,6 @@ def _bits(mask: int) -> list[int]:
         mask ^= bit
         out.append(bit.bit_length() - 1)
     return out
-
-
-def _mask_cut(g: Graph, rem: int, strict_trivial: bool) -> bool:
-    size = rem.bit_count()
-    if size <= 1:
-        return size == 1 if strict_trivial else True
-    return not mask_connected(g, rem)
 
 
 def _leaf_sets(
@@ -269,6 +271,8 @@ class _Engine:
             self.memo_tau[alive] = -1
             return None
         masks = g.masks
+        strict = opts.strict_trivial
+        dead = g.full_mask & ~alive
         for c in range(pmax + 1, tau + 1):
             self._check_deadline()
             cbit = 1 << c
@@ -287,7 +291,7 @@ class _Engine:
                 ticks += 1
                 if not ticks & 0x1FF:
                     self._check_deadline()
-                if _mask_cut(g, alive & ~smask, opts.strict_trivial):
+                if remainder_is_cut(g, dead | smask, strict_trivial=strict):
                     return Star(c, leaves)
         self.memo_tau[alive] = pmax
         return None
@@ -313,7 +317,6 @@ class _Engine:
             return chosen + [star]
         g, m = self.g, self.m
         masks = g.masks
-        seen: set[int] | None = set() if opts.prune_symmetry else None
         for c in range(pmax + 1, g.n):
             cbit = 1 << c
             if not alive & cbit:
@@ -324,10 +327,6 @@ class _Engine:
             for leaves, smask in _leaf_sets(
                 masks, _bits(nb), m, self.exact, opts.induced, c, cbit
             ):
-                if seen is not None:
-                    if smask in seen:
-                        continue
-                    seen.add(smask)
                 got = self.search(
                     alive & ~smask, c, slots - 1, chosen + [Star(c, leaves)]
                 )
@@ -353,6 +352,14 @@ def _validate_inputs(g: Graph, m: int, t_max: int) -> None:
         )
 
 
+def _check_certificate(
+    g: Graph, cert: CutFamily, strict_trivial: bool, induced: bool, origin: str
+) -> None:
+    check = is_structure_cut if cert.kind == STRUCTURE else is_substructure_cut
+    if not check(g, cert, cert.m, strict_trivial=strict_trivial, induced=induced):
+        raise AssertionError(f"{origin} produced a family its verifier rejects")
+
+
 def _connectivity(
     g: Graph, m: int, kind: str, t_max: int, options: SearchOptions | None
 ) -> SolveResult:
@@ -371,9 +378,7 @@ def _connectivity(
             continue
         # Centers strictly increase along a family, so it is already sorted.
         cert = CutFamily(kind, m, tuple(family))
-        check = is_structure_cut if kind == STRUCTURE else is_substructure_cut
-        if not check(g, cert, m, strict_trivial=opts.strict_trivial, induced=opts.induced):
-            raise AssertionError("search produced a family its verifier rejects")
+        _check_certificate(g, cert, opts.strict_trivial, opts.induced, "search")
         return SolveResult(t, cert, t, True)
     return SolveResult(None, None, t_max, True)
 
@@ -458,7 +463,7 @@ def _absorbing_stars(
                 yield c, smask
 
 
-def _star_from_mask(masks: tuple[int, ...], smask: int, center: int) -> Star:
+def _star_from_mask(smask: int, center: int) -> Star:
     leaves = tuple(_bits(smask & ~(1 << center)))
     return canonical_star(center, leaves)
 
@@ -545,7 +550,7 @@ def oracle_connectivity(
             xmask = 0
             for x in combo:
                 xmask |= 1 << x
-            if not _mask_cut(g, g.full_mask & ~xmask, strict_trivial):
+            if not remainder_is_cut(g, xmask, strict_trivial=strict_trivial):
                 continue
             got = _best_partition(g, xmask, m, exact, induced, memo)
             if got is None:
@@ -557,12 +562,10 @@ def oracle_connectivity(
     assert best_stars is not None
     stars = tuple(
         sorted(
-            (_star_from_mask(g.masks, smask, center) for center, smask in best_stars),
+            (_star_from_mask(smask, center) for center, smask in best_stars),
             key=Star.sort_key,
         )
     )
     cert = CutFamily(kind, m, stars)
-    check = is_structure_cut if kind == STRUCTURE else is_substructure_cut
-    if not check(g, cert, m, strict_trivial=strict_trivial, induced=induced):
-        raise AssertionError("oracle produced a family its verifier rejects")
+    _check_certificate(g, cert, strict_trivial, induced, "oracle")
     return SolveResult(best, cert, best, True)

@@ -26,6 +26,19 @@ K3 = write_graph(complete(3))
 ONE_3DM = "3dm 1 1\nt 1 1 1\n"
 # every element occurs twice, no perfect matching
 BALANCED_3DM = "3dm 2 4\nt 1 1 1\nt 1 2 2\nt 2 1 2\nt 2 2 1\n"
+# the vertex cover gadget of P3 with k=1 (M defaults to the max degree, 2)
+P3_VC_GRAPH = (
+    "p edge 12 20\n"
+    "e 1 2\ne 1 4\ne 1 7\ne 1 10\ne 2 3\ne 2 5\ne 2 8\ne 2 11\n"
+    "e 3 6\ne 3 9\ne 3 12\ne 4 5\ne 4 6\ne 5 6\ne 7 8\ne 7 9\n"
+    "e 8 9\ne 10 11\ne 10 12\ne 11 12\n"
+)
+P3_VC_ROLES = (
+    "v 1 ORIG 1\nv 2 ORIG 2\nv 3 ORIG 3\n"
+    "v 4 CLIQ 1 1\nv 5 CLIQ 2 1\nv 6 CLIQ 3 1\n"
+    "v 7 CLIQ 1 2\nv 8 CLIQ 2 2\nv 9 CLIQ 3 2\n"
+    "v 10 CLIQ 1 3\nv 11 CLIQ 2 3\nv 12 CLIQ 3 3\n"
+)
 
 
 @pytest.fixture
@@ -85,7 +98,9 @@ def test_reduce_3dm_writes_gadget(files, tmp_path, capsys):
     code = run(["reduce-3dm", "--in", src, "--out-prefix", prefix, "--allow-unrestricted"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "46 vertices" in out and "target 1" in out
+    assert out == (
+        f"wrote {prefix}.graph {prefix}.roles (46 vertices, 188 edges, target 1)\n"
+    )
     g = parse_graph((tmp_path / "out.graph").read_text())
     roles = parse_roles((tmp_path / "out.roles").read_text())
     assert g.n == 46
@@ -105,8 +120,11 @@ def test_reduce_vc_writes_gadget(files, tmp_path, capsys):
     code = run(["reduce-vc", "--graph", g, "--k", "1", "--out-prefix", prefix])
     out = capsys.readouterr().out
     assert code == 0
-    assert "12 vertices" in out
-    assert parse_graph((tmp_path / "vc.graph").read_text()).n == 12
+    assert out == (
+        f"wrote {prefix}.graph {prefix}.roles (12 vertices, 20 edges, target 1)\n"
+    )
+    assert (tmp_path / "vc.graph").read_text() == P3_VC_GRAPH
+    assert (tmp_path / "vc.roles").read_text() == P3_VC_ROLES
 
 
 def test_oracle_3dm(files, capsys):
@@ -163,6 +181,21 @@ def test_roundtrip_3dm_pass(files, tmp_path, capsys):
     assert report == "decision-source YES\ndecision-gadget YES\nverdict PASS\n"
     assert (tmp_path / "rt.graph").exists()
     assert (tmp_path / "rt.roles").exists()
+
+
+def test_roundtrip_vc_writes_out_prefix_files(files, tmp_path, capsys):
+    g = files("p3.graph", P3)
+    prefix = str(tmp_path / "rt")
+    code = run(["roundtrip", "vc", "--graph", g, "--k", "1", "--out-prefix", prefix])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "decode 2\ndecision-source YES\ndecision-gadget YES\nverdict PASS\n"
+    )
+    assert (tmp_path / "rt.graph").read_text() == P3_VC_GRAPH
+    assert (tmp_path / "rt.roles").read_text() == P3_VC_ROLES
+    assert (tmp_path / "rt.report").read_text() == (
+        "decision-source YES\ndecision-gadget YES\nverdict PASS\n"
+    )
 
 
 def test_roundtrip_vc_gadget_defect_is_reported(files, capsys):

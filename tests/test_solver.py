@@ -147,7 +147,6 @@ def test_time_limit_reports_incomplete():
 
 _PRUNE_FLAGS = (
     "prune_untouched",
-    "prune_symmetry",
     "prune_degree_bound",
     "prune_center_skip",
 )
