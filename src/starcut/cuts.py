@@ -74,14 +74,16 @@ def star_valid_in(g: Graph, s: Star) -> bool:
 
 def star_induced_in(g: Graph, s: Star) -> bool:
     """star_valid_in, plus pairwise non-adjacent leaves."""
-    if not star_valid_in(g, s):
-        return False
-    leaves = s.leaves
-    for i, u in enumerate(leaves):
-        m = g.masks[u]
-        for v in leaves[i + 1:]:
-            if m >> v & 1:
-                return False
+    return star_valid_in(g, s) and leaves_independent(g.masks, s.leaves)
+
+
+def leaves_independent(masks: tuple[int, ...], leaves: Iterable[int]) -> bool:
+    """True iff no two of `leaves` are adjacent under the neighbor masks."""
+    seen = 0
+    for leaf in leaves:
+        if masks[leaf] & seen:
+            return False
+        seen |= 1 << leaf
     return True
 
 
@@ -134,23 +136,17 @@ def family_mask(family: CutFamily) -> int:
 
 
 def _check_family(g: Graph, family: CutFamily, induced: bool) -> int:
-    """Validate stars against g and disjointness; returns the removal mask.
+    """Validate the stars against g; returns the removal mask.
 
-    Malformed certificates are errors, never False: an invalid star or an
-    overlap means the input is not a family at all.
+    Malformed certificates are errors, never False: an invalid star means
+    the input is not a family at all.  CutFamily itself rejects overlapping
+    elements.
     """
-    mask = 0
     for s in family.elements:
         ok = star_induced_in(g, s) if induced else star_valid_in(g, s)
         if not ok:
             raise ValueError(f"element {s} is not a valid star in the host graph")
-        smask = 0
-        for v in s.vertices():
-            smask |= 1 << v
-        if mask & smask:
-            raise ValueError("elements are not pairwise vertex-disjoint")
-        mask |= smask
-    return mask
+    return family_mask(family)
 
 
 def remainder_is_cut(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .graph import Graph, build
-from .npsolve import ThreeDMInstance, solve_3dm
+from .npsolve import ThreeDMInstance, element_occurrences, element_slots, solve_3dm
 
 # Every element of a generated 3dm instance appears in at most this many
 # triples.  Keeps instances close to the restricted variant and keeps the
@@ -39,27 +39,25 @@ def _random_triple(rng: random.Random, n: int) -> tuple[int, int, int]:
     return (rng.randrange(1, n + 1), rng.randrange(1, n + 1), rng.randrange(1, n + 1))
 
 
-def _occurrences_ok(triples: list[tuple[int, int, int]], n: int) -> bool:
-    counts = [0] * (3 * n)
-    for r, b, y in triples:
-        counts[r - 1] += 1
-        counts[n + b - 1] += 1
-        counts[2 * n + y - 1] += 1
-    return all(c <= OCCURRENCE_CAP for c in counts)
-
-
 def _sample_extras(
     rng: random.Random, n: int, base: list[tuple[int, int, int]], extra: int
 ) -> list[tuple[int, int, int]] | None:
-    """Append `extra` distinct triples to base, or None when the cap blocks it."""
+    """Append `extra` distinct triples to base, or None when the cap blocks it.
+
+    base itself must respect the occurrence cap.
+    """
     triples = list(base)
     have = set(triples)
+    occ = element_occurrences(ThreeDMInstance(n, tuple(base)))
     for _ in range(extra):
         for _ in range(_REJECTION_LIMIT):
             cand = _random_triple(rng, n)
             if cand in have:
                 continue
-            if _occurrences_ok(triples + [cand], n):
+            slots = element_slots(n, cand)
+            if all(occ[s] < OCCURRENCE_CAP for s in slots):
+                for s in slots:
+                    occ[s] += 1
                 triples.append(cand)
                 have.add(cand)
                 break

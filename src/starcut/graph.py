@@ -1,9 +1,11 @@
 """Immutable simple-graph core.
 
-Vertices are dense integers 0..n-1.  Neighbor lists are kept sorted so that
-every derived artifact (certificates, serialized files, search order) is
-deterministic.  Adjacency bitmasks are built lazily for the search and
-verification hot paths.
+Vertices are dense integers 0..n-1.  The adjacency is stored once, as one
+neighbor bitmask per vertex: bit v of masks[u] is set iff uv is an edge.
+The search, the verifiers and the reductions work on these vertex sets
+directly.  Neighbor lists, edge lists and neighborhoods are read off the
+masks in increasing id order, so every derived artifact (certificates,
+serialized files, search order) is deterministic.
 """
 
 from __future__ import annotations
@@ -11,23 +13,34 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
+def bits(mask: int) -> list[int]:
+    """The vertex ids in a nonnegative mask, increasing."""
+    out = []
+    while mask:
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    out.reverse()
+    return out
+
+
 class Graph:
     """Finite simple undirected graph with vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_masks", "_edge_count")
+    __slots__ = ("n", "masks", "full_mask", "edge_count")
 
-    def __init__(self, adj: Sequence[Sequence[int]]):
-        # `adj` is trusted here; construct through build() to validate input.
-        self.n = len(adj)
-        self.adj = tuple(tuple(row) for row in adj)
-        self._masks: tuple[int, ...] | None = None
-        self._edge_count: int | None = None
+    def __init__(self, masks: Sequence[int]):
+        # `masks` is trusted here; construct through build() to validate input.
+        self.masks = tuple(masks)
+        self.n = len(self.masks)
+        self.full_mask = (1 << self.n) - 1
+        self.edge_count = sum(m.bit_count() for m in self.masks) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+        return tuple(bits(self.masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.masks[u] >> v & 1 == 1
@@ -35,38 +48,14 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
         for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
-
-    @property
-    def edge_count(self) -> int:
-        if self._edge_count is None:
-            self._edge_count = sum(len(row) for row in self.adj) // 2
-        return self._edge_count
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks (bit v set iff v is a neighbor)."""
-        if self._masks is None:
-            out = []
-            for row in self.adj:
-                m = 0
-                for v in row:
-                    m |= 1 << v
-                out.append(m)
-            self._masks = tuple(out)
-        return self._masks
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+            for v in bits((self.masks[u] >> (u + 1)) << (u + 1)):
+                yield (u, v)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.adj == other.adj
+        return isinstance(other, Graph) and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash(self.adj)
+        return hash(self.masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -80,35 +69,32 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    sets: list[set[int]] = [set() for _ in range(n)]
+    masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        sets[u].add(v)
-        sets[v].add(u)
-    return Graph([sorted(s) for s in sets])
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(masks)
 
 
 def audit(g: Graph) -> None:
     """Check structural invariants; raises ValueError on any violation."""
-    if len(g.adj) != g.n:
-        raise ValueError("adjacency length disagrees with n")
-    for u, row in enumerate(g.adj):
-        if list(row) != sorted(set(row)):
-            raise ValueError(f"neighbor list of {u} not sorted and duplicate-free")
-        for v in row:
-            if not (0 <= v < g.n):
-                raise ValueError(f"neighbor {v} of {u} out of range")
-            if v == u:
-                raise ValueError(f"self-loop at {u}")
-            if u not in g.adj[v]:
+    for u, row in enumerate(g.masks):
+        if row >> g.n:
+            raise ValueError(f"neighbor mask of {u} has a bit at or above n={g.n}")
+        if row >> u & 1:
+            raise ValueError(f"self-loop at {u}")
+        for v in bits(row):
+            if not g.masks[v] >> u & 1:
                 raise ValueError(f"asymmetric edge ({u}, {v})")
 
 
 def complete(n: int) -> Graph:
-    return Graph([[v for v in range(n) if v != u] for u in range(n)])
+    full = (1 << n) - 1
+    return Graph([full ^ (1 << u) for u in range(n)])
 
 
 def star(m: int) -> Graph:
@@ -129,25 +115,23 @@ def cycle(n: int) -> Graph:
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
-    adj = [list(row) for row in a.adj]
-    adj.extend([v + a.n for v in row] for row in b.adj)
-    return Graph(adj)
+    return Graph(a.masks + tuple(m << a.n for m in b.masks))
 
 
 def closed_neighborhood(g: Graph, xs: Iterable[int]) -> tuple[int, ...]:
-    out = set()
+    mask = 0
     for x in xs:
-        out.add(x)
-        out.update(g.adj[x])
-    return tuple(sorted(out))
+        mask |= g.masks[x] | 1 << x
+    return tuple(bits(mask))
 
 
 def open_neighborhood(g: Graph, xs: Iterable[int]) -> tuple[int, ...]:
-    xset = set(xs)
-    out = set()
-    for x in xset:
-        out.update(g.adj[x])
-    return tuple(sorted(out - xset))
+    xmask = 0
+    mask = 0
+    for x in xs:
+        xmask |= 1 << x
+        mask |= g.masks[x]
+    return tuple(bits(mask & ~xmask))
 
 
 def remove_vertices(g: Graph, xs: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -160,9 +144,14 @@ def remove_vertices(g: Graph, xs: Iterable[int]) -> tuple[Graph, tuple[int, ...]
         if not (0 <= x < g.n):
             raise ValueError(f"vertex {x} out of range")
     old_ids = tuple(v for v in range(g.n) if v not in gone)
-    new_id = {old: new for new, old in enumerate(old_ids)}
-    adj = [[new_id[w] for w in g.adj[old] if w not in gone] for old in old_ids]
-    return Graph(adj), old_ids
+    new_bit = {old: 1 << new for new, old in enumerate(old_ids)}
+    masks = []
+    for old in old_ids:
+        m = 0
+        for w in bits(g.masks[old]):
+            m |= new_bit.get(w, 0)
+        masks.append(m)
+    return Graph(masks), old_ids
 
 
 def mask_connected(g: Graph, mask: int) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, build
+from .graph import Graph, bits, build
 
 Triple = tuple[int, int, int]
 
@@ -35,13 +35,18 @@ class ThreeDMInstance:
                 raise ValueError(f"triple {t} out of range for n={self.n}")
 
 
+def element_slots(n: int, triple: Triple) -> Triple:
+    """Flat indices of a triple's elements in W = R+B+Y, numbered 0..3n-1."""
+    r, b, y = triple
+    return (r - 1, n + b - 1, 2 * n + y - 1)
+
+
 def element_occurrences(inst: ThreeDMInstance) -> list[int]:
-    """Occurrence count per element of W = R+B+Y, flat-indexed 0..3n-1."""
+    """Occurrence count per element of W, flat-indexed as in element_slots."""
     occ = [0] * (3 * inst.n)
-    for r, b, y in inst.triples:
-        occ[r - 1] += 1
-        occ[inst.n + b - 1] += 1
-        occ[2 * inst.n + y - 1] += 1
+    for triple in inst.triples:
+        for slot in element_slots(inst.n, triple):
+            occ[slot] += 1
     return occ
 
 
@@ -94,9 +99,9 @@ def solve_3dm(inst: ThreeDMInstance) -> tuple[int, ...] | None:
     n = inst.n
     # candidates[slot] = triple indices touching that W slot (0..3n-1).
     candidates: list[list[int]] = [[] for _ in range(3 * n)]
-    slots_of: list[tuple[int, int, int]] = []
-    for i, (r, b, y) in enumerate(inst.triples):
-        slots = (r - 1, n + b - 1, 2 * n + y - 1)
+    slots_of: list[Triple] = []
+    for i, triple in enumerate(inst.triples):
+        slots = element_slots(n, triple)
         slots_of.append(slots)
         for s in slots:
             candidates[s].append(i)
@@ -177,16 +182,15 @@ def solve_vertex_cover(inst: VertexCoverInstance) -> tuple[int, ...] | None:
     g = inst.graph
 
     def search(alive_mask: int, budget: int, chosen: list[int]) -> list[int] | None:
-        # Find the max-degree vertex within the still-alive subgraph.
+        # Find the max-degree vertex within the still-alive subgraph, and
+        # the degree sum (twice the alive edge count) for the bound below.
         best_v = -1
         best_deg = 0
-        rest = alive_mask
+        degree_sum = 0
         masks = g.masks
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
+        for v in bits(alive_mask):
             d = (masks[v] & alive_mask).bit_count()
+            degree_sum += d
             if d > best_deg:
                 best_deg, best_v = d, v
         if best_deg == 0:
@@ -195,15 +199,7 @@ def solve_vertex_cover(inst: VertexCoverInstance) -> tuple[int, ...] | None:
             return None
         # Matching-based lower bound: each budget unit kills at most best_deg
         # edges, so bail when even that cannot pay for the remaining edges.
-        remaining_edges = 0
-        rest = alive_mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            remaining_edges += (masks[v] & alive_mask).bit_count()
-        remaining_edges //= 2
-        if remaining_edges > budget * best_deg:
+        if degree_sum // 2 > budget * best_deg:
             return None
         # Branch 1: take best_v.
         got = search(alive_mask & ~(1 << best_v), budget - 1, chosen + [best_v])
@@ -213,14 +209,8 @@ def solve_vertex_cover(inst: VertexCoverInstance) -> tuple[int, ...] | None:
         forced = masks[best_v] & alive_mask
         fc = forced.bit_count()
         if fc <= budget:
-            forced_list = []
-            rest = forced
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                forced_list.append(bit.bit_length() - 1)
             got = search(
-                alive_mask & ~forced & ~(1 << best_v), budget - fc, chosen + forced_list
+                alive_mask & ~forced & ~(1 << best_v), budget - fc, chosen + bits(forced)
             )
             if got is not None:
                 return got
@@ -243,9 +233,9 @@ def bipartite_incidence(inst: ThreeDMInstance) -> Graph:
     """
     t = len(inst.triples)
     n = inst.n
-    edges = []
-    for i, (r, b, y) in enumerate(inst.triples):
-        edges.append((i, t + r - 1))
-        edges.append((i, t + n + b - 1))
-        edges.append((i, t + 2 * n + y - 1))
+    edges = [
+        (i, t + slot)
+        for i, triple in enumerate(inst.triples)
+        for slot in element_slots(n, triple)
+    ]
     return build(t + 3 * n, edges)

@@ -30,6 +30,7 @@ from .npsolve import (
     ThreeDMInstance,
     VertexCoverInstance,
     element_occurrences,
+    element_slots,
     is_vertex_cover,
     validate_3dm,
     verify_matching,
@@ -148,11 +149,11 @@ def reduce_3dm(
     for i in range(1, 3 * n * m + 1):
         roles.append(VertexRole(UPRM, i))
 
-    edges: list[tuple[int, int]] = []
-    for k, (r, b, y) in enumerate(inst.triples):
-        edges.append((k, base_elem + r - 1))
-        edges.append((k, base_elem + n + b - 1))
-        edges.append((k, base_elem + 2 * n + y - 1))
+    edges: list[tuple[int, int]] = [
+        (k, base_elem + slot)
+        for k, triple in enumerate(inst.triples)
+        for slot in element_slots(n, triple)
+    ]
     for j in range(m - 3):
         lo = base_cliq + j * clique_size
         edges.extend(_clique_edges(lo, clique_size))
@@ -350,9 +351,8 @@ def audit_reduced_vc(red: ReducedInstance) -> None:
         elif role.tag == CLIQ:
             if d != n:
                 raise AssertionError(f"clique vertex {v} has degree {d}, want {n}")
-            lo = n * role.j
-            outside = [u for u in g.neighbors(v) if not lo <= u < lo + n]
-            if len(outside) != 1 or outside[0] != role.i - 1:
+            clique = ((1 << n) - 1) << (n * role.j)
+            if g.masks[v] & ~clique != 1 << (role.i - 1):
                 raise AssertionError(
                     f"clique vertex {v} must have exactly its original as the "
                     f"one neighbor outside its clique"

@@ -21,8 +21,8 @@ can prove value-equality with pruning off.
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
 partition search.  It shares no search code with the solver beyond the graph
-primitives and the cut predicate, which is what makes the agreement tests
-meaningful.
+primitives and the cut and leaf-independence predicates, which is what makes
+the agreement tests meaningful.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ from .cuts import (
     canonical_star,
     is_structure_cut,
     is_substructure_cut,
+    leaves_independent,
     remainder_is_cut,
 )
-from .graph import Graph, is_connected, mask_connected
+from .graph import Graph, bits, is_connected, mask_connected
 
 ORACLE_SIZE_CAP = 14
 
@@ -93,15 +94,6 @@ class _Deadline(Exception):
     pass
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length() - 1)
-    return out
-
-
 def _leaf_sets(
     masks: tuple[int, ...],
     cands: list[int],
@@ -123,7 +115,7 @@ def _leaf_sets(
         for combo in combinations(cands, m):
             if m == 1 and combo[0] < center:
                 continue
-            if induced and not _leaves_independent(masks, combo):
+            if induced and not leaves_independent(masks, combo):
                 continue
             smask = cmask
             for leaf in combo:
@@ -148,15 +140,6 @@ def _leaf_sets(
             prefix.pop()
 
     yield from grow(0, 0)
-
-
-def _leaves_independent(masks: tuple[int, ...], leaves: tuple[int, ...]) -> bool:
-    seen = 0
-    for leaf in leaves:
-        if masks[leaf] & seen:
-            return False
-        seen |= 1 << leaf
-    return True
 
 
 class _Engine:
@@ -226,7 +209,7 @@ class _Engine:
             return False
         masks = self.g.masks
         cover = core
-        for v in _bits(core):
+        for v in bits(core):
             cover |= masks[v]
         if alive & ~cover:
             return False
@@ -286,7 +269,7 @@ class _Engine:
                 continue
             ticks = 0
             for leaves, smask in _leaf_sets(
-                masks, _bits(nb), m, self.exact, opts.induced, c, cbit
+                masks, bits(nb), m, self.exact, opts.induced, c, cbit
             ):
                 ticks += 1
                 if not ticks & 0x1FF:
@@ -325,7 +308,7 @@ class _Engine:
             if self.exact and nb.bit_count() < m:
                 continue
             for leaves, smask in _leaf_sets(
-                masks, _bits(nb), m, self.exact, opts.induced, c, cbit
+                masks, bits(nb), m, self.exact, opts.induced, c, cbit
             ):
                 got = self.search(
                     alive & ~smask, c, slots - 1, chosen + [Star(c, leaves)]
@@ -411,7 +394,7 @@ def enumerate_stars(
     masks = g.masks
     out: set[Star] = set()
     for c in range(g.n):
-        cands = _bits(masks[c])
+        cands = bits(masks[c])
         for leaves, _ in _leaf_sets(masks, cands, m, exact, induced, c, 1 << c):
             out.add(Star(c, leaves))
     return sorted(out, key=Star.sort_key)
@@ -431,13 +414,13 @@ def _absorbing_stars(
     """
     vbit = 1 << v
     # v as the center
-    cands = _bits(masks[v] & rem)
+    cands = bits(masks[v] & rem)
     sizes = [m] if exact else list(range(0, min(m, len(cands)) + 1))
     for size in sizes:
         if size > len(cands):
             continue
         for combo in combinations(cands, size):
-            if induced and not _leaves_independent(masks, combo):
+            if induced and not leaves_independent(masks, combo):
                 continue
             smask = vbit
             for leaf in combo:
@@ -446,16 +429,15 @@ def _absorbing_stars(
     # v as a leaf of some center c in rem
     if m < 1:
         return
-    for c in _bits(masks[v] & rem):
+    for c in bits(masks[v] & rem):
         cbit = 1 << c
-        others = _bits(masks[c] & rem & ~vbit)
+        others = bits(masks[c] & rem & ~vbit)
         extra_sizes = [m - 1] if exact else list(range(0, min(m - 1, len(others)) + 1))
         for size in extra_sizes:
             if size > len(others):
                 continue
             for combo in combinations(others, size):
-                leaves = tuple(sorted((v,) + combo))
-                if induced and not _leaves_independent(masks, leaves):
+                if induced and not leaves_independent(masks, (v, *combo)):
                     continue
                 smask = cbit | vbit
                 for leaf in combo:
@@ -464,7 +446,7 @@ def _absorbing_stars(
 
 
 def _star_from_mask(smask: int, center: int) -> Star:
-    leaves = tuple(_bits(smask & ~(1 << center)))
+    leaves = tuple(bits(smask & ~(1 << center)))
     return canonical_star(center, leaves)
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,12 +23,17 @@ from starcut import (
 )
 from starcut.cli import run
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 C5 = write_graph(cycle(5))
 P3 = write_graph(path(3))
 K3 = write_graph(complete(3))
 ONE_3DM = "3dm 1 1\nt 1 1 1\n"
 # every element occurs twice, no perfect matching
 BALANCED_3DM = "3dm 2 4\nt 1 1 1\nt 1 2 2\nt 2 1 2\nt 2 2 1\n"
+# sha256 of the .graph and .roles texts of the M=5 matching gadget of ONE_3DM
+ONE_3DM_GRAPH_SHA256 = "4fb3ea56c1548052998c35cc397dd25501c4ddf410fe2d02e0f861bcb512a93a"
+ONE_3DM_ROLES_SHA256 = "e5b67f0b86c990ad20ca18bda44b69e8767b52c9acaef0579dcb993e6c7f0075"
 # the vertex cover gadget of P3 with k=1 (M defaults to the max degree, 2)
 P3_VC_GRAPH = (
     "p edge 12 20\n"
@@ -101,10 +109,12 @@ def test_reduce_3dm_writes_gadget(files, tmp_path, capsys):
     assert out == (
         f"wrote {prefix}.graph {prefix}.roles (46 vertices, 188 edges, target 1)\n"
     )
-    g = parse_graph((tmp_path / "out.graph").read_text())
-    roles = parse_roles((tmp_path / "out.roles").read_text())
-    assert g.n == 46
-    assert len(roles) == 46
+    graph_text = (tmp_path / "out.graph").read_text()
+    roles_text = (tmp_path / "out.roles").read_text()
+    assert hashlib.sha256(graph_text.encode()).hexdigest() == ONE_3DM_GRAPH_SHA256
+    assert hashlib.sha256(roles_text.encode()).hexdigest() == ONE_3DM_ROLES_SHA256
+    assert parse_graph(graph_text).n == 46
+    assert len(parse_roles(roles_text)) == 46
 
 
 def test_reduce_3dm_restriction_gate(files, tmp_path, capsys):
@@ -261,6 +271,7 @@ def test_module_entrypoint_smoke(tmp_path):
         [sys.executable, "-m", "starcut.cli", "gen", "graph",
          "--n", "5", "--p", "1.0", "--seed", "0", "--out", str(out)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0
     assert parse_graph(out.read_text()) == complete(5)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from starcut import (
+    Graph,
     audit,
     build,
     closed_neighborhood,
@@ -29,6 +30,21 @@ def test_build_basics():
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
     audit(g)
+
+
+@pytest.mark.parametrize(
+    "masks,message",
+    [
+        ((0b10, 0b00), "asymmetric edge"),
+        ((0b01, 0b00), "self-loop"),
+        ((0b100, 0b000), "at or above n"),
+        ((-1, 0), "at or above n"),
+    ],
+    ids=["asymmetric", "self-loop", "bit-at-n", "negative"],
+)
+def test_audit_rejects_defective_masks(masks, message):
+    with pytest.raises(ValueError, match=message):
+        audit(Graph(masks))
 
 
 def test_build_collapses_duplicates():

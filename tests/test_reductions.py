@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from starcut import (
@@ -174,6 +176,16 @@ def test_reduce_vc_layout():
     # clique vertices: n-1 inside plus exactly one original
     for v in range(3, 12):
         assert g.degree(v) == 3
+
+
+def test_audit_vc_rejects_crossed_taps():
+    red = reduce_vertex_cover(VertexCoverInstance(path(3), 1))
+    # Originals 0 and 2 swap their taps into clique 1 (vertices 3 and 5);
+    # every degree stays the same.
+    edges = set(red.graph.edges()) - {(0, 3), (2, 5)} | {(0, 5), (2, 3)}
+    crossed = dataclasses.replace(red, graph=build(red.graph.n, edges))
+    with pytest.raises(AssertionError, match="one neighbor outside its clique"):
+        audit_reduced_vc(crossed)
 
 
 def test_reduce_vc_m_override():
