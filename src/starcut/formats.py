@@ -92,7 +92,7 @@ def parse_graph(text: str) -> Graph:
 
 def write_graph(g: Graph) -> str:
     out = [f"p edge {g.n} {g.edge_count}"]
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         out.append(f"e {u + 1} {v + 1}")
     return "\n".join(out) + "\n"
 

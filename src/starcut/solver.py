@@ -13,7 +13,11 @@ lexicographically least one and serves directly as the certificate.  The
 caller's time_limit bounds the whole call.  Four pruning rules cut the
 search: a minimum-degree bound, an untouchable dominating core, hopeless
 centers, and the complete-graph shortcut at the last level; a per-alive-set
-memo remembers centers already ruled out there.  Each rule stays because
+memo remembers centers already ruled out there.  A center c is hopeless when
+Z, the alive set outside N[c], is connected, the remainder keeps >= 2
+vertices, and every alive neighbor of c either touches Z or has more than m
+neighbors among those that do: a star at c removes at most m of them, so
+every surviving neighbor still reaches Z.  Each rule stays because
 switching it off was measured to slow the benchmark down.  Every rule is
 correctness-preserving; the prune_* options toggle the first three so tests
 can prove value-equality with pruning off.
@@ -60,8 +64,11 @@ class SearchOptions:
 
     The prune_* switches turn off one rule each: prune_degree_bound the
     minimum-degree bound, prune_untouched the dominating-core test,
-    prune_center_skip the hopeless-center test.  They never change values
-    or certificates, only speed; tests use them to demonstrate that.
+    prune_center_skip the hopeless-center test (a center whose every
+    neighbor touches the alive set Z outside its closed neighborhood, or has
+    more than m neighbors that do, cannot cut when Z is connected).  They
+    never change values or certificates, only speed; tests use them to
+    demonstrate that.
     """
 
     strict_trivial: bool = False
@@ -216,23 +223,37 @@ class _Engine:
         return mask_connected(self.g, core)
 
     def _center_hopeless(self, c: int, nb: int, deg: int, alive: int) -> bool:
-        # Z = alive vertices out of the star's reach.  If Z is connected,
-        # every alive neighbor of c hangs onto Z, and the remainder is
-        # forced to keep >= 2 vertices, no star at c can cut.
+        # Z = alive vertices out of the star's reach; A = alive neighbors of
+        # c that touch Z.  Suppose Z is connected and the remainder is forced
+        # to keep >= 2 vertices.  A star at c removes at most m vertices of
+        # A, so every surviving vertex of A hangs onto Z, and so does every
+        # other neighbor with more than m neighbors in A.  If that covers
+        # all neighbors, no star at c can cut.
         z = alive & ~nb & ~(1 << c)
         if not z:
             return False
-        leftover = deg - self.m if deg > self.m else 0
+        m = self.m
+        leftover = deg - m if deg > m else 0
         if z.bit_count() + leftover < 2:
             return False
         if not mask_connected(self.g, z):
             return False
         masks = self.g.masks
+        off = 0
         rest = nb
         while rest:
             bit = rest & -rest
             rest ^= bit
             if not masks[bit.bit_length() - 1] & z:
+                # Too few neighbors even in all of N(c), let alone in A.
+                if (masks[bit.bit_length() - 1] & nb).bit_count() <= m:
+                    return False
+                off |= bit
+        touch = nb & ~off
+        while off:
+            bit = off & -off
+            off ^= bit
+            if (masks[bit.bit_length() - 1] & touch).bit_count() <= m:
                 return False
         return True
 

@@ -25,11 +25,14 @@ from starcut import (
     oracle_connectivity,
     path,
     reduce_3dm,
+    remainder_is_cut,
     star,
     structure_connectivity,
     substructure_connectivity,
     write_cut,
 )
+from starcut.graph import bits
+from starcut.solver import _Engine
 
 BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -290,14 +293,77 @@ def test_corpus_certificates_pinned():
 
 
 def test_time_limit_bounds_the_whole_call():
-    # On this 190-vertex gadget the search runs for minutes and has not
-    # settled family size 1 after seconds; the deadline must stop it there.
+    # kappa(Q6; K_{1,1}) is 5 and ruling out size 3 alone takes seconds, so
+    # the deadline must stop this search.
+    q6 = hypercube(6)
+    for fn in (structure_connectivity, substructure_connectivity):
+        t0 = time.monotonic()
+        res = fn(q6, 1, 5, SearchOptions(time_limit=0.2))
+        elapsed = time.monotonic() - t0
+        assert res.complete is False
+        assert elapsed < 1.0
+
+
+# -- the hopeless-center rule -------------------------------------------------
+
+
+def _hopeless_fixture(v_edges):
+    # Center 0 with neighbors 1..4.  Z = {5, 6} is a connected pair, and A =
+    # {1, 2} are the neighbors that touch it.  Neighbor 4 misses Z and has
+    # both A vertices as neighbors; neighbor 3 misses Z and gets v_edges.
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (5, 6), (4, 1), (4, 2)]
+    g = build(7, edges + [(3, w) for w in v_edges])
+    engine = _Engine(g, 1, STRUCTURE, SearchOptions())
+    nb = g.masks[0]
+    return g, engine._center_hopeless(0, nb, nb.bit_count(), g.full_mask)
+
+
+def test_center_hopeless_when_off_neighbor_has_m_plus_1_in_a():
+    g, hopeless = _hopeless_fixture([1, 2])
+    assert hopeless
+    # Sound: no single-leaf star at 0 cuts.
+    assert not any(remainder_is_cut(g, 1 | 1 << leaf) for leaf in (1, 2, 3, 4))
+
+
+def test_center_not_hopeless_when_off_neighbor_has_exactly_m_in_a():
+    # Neighbor 3 sees two vertices of N(0), {1, 4}, but only one of A.
+    _, hopeless = _hopeless_fixture([1, 4])
+    assert not hopeless
+
+
+def test_gadget_190_settles_size_1():
+    # Every clique center before 149 has neighbors that miss Z; the
+    # generalized rule settles each one without scanning its leaf sets.
     red = reduce_3dm(gen_random_3dm(3, 4, True, 1), 5, allow_unrestricted=True)
-    t0 = time.monotonic()
-    res = structure_connectivity(red.graph, red.m, 3, SearchOptions(time_limit=0.2))
-    elapsed = time.monotonic() - t0
-    assert res.complete is False
-    assert elapsed < 1.0
+    res = structure_connectivity(red.graph, red.m, 3, SearchOptions(time_limit=5))
+    assert (res.value, res.complete) == (1, True)
+    assert res.certificate.elements == (Star(149, (104, 145, 146, 147, 148)),)
+
+
+def test_center_skip_agrees_with_off_and_oracle(monkeypatch):
+    # Counts the centers only the generalized rule settles: some alive
+    # neighbor misses Z, so the all-neighbors-touch-Z form would not apply.
+    fired = 0
+    rule = _Engine._center_hopeless
+
+    def counting(self, c, nb, deg, alive):
+        nonlocal fired
+        got = rule(self, c, nb, deg, alive)
+        z = alive & ~nb & ~(1 << c)
+        if got and any(not self.g.masks[v] & z for v in bits(nb)):
+            fired += 1
+        return got
+
+    monkeypatch.setattr(_Engine, "_center_hopeless", counting)
+    off = SearchOptions(prune_center_skip=False)
+    for g, *_ in connected_corpus(60, max_n=11, seed0=0):
+        for m in (1, 2, 3):
+            for kind in (STRUCTURE, SUBSTRUCTURE):
+                fn = structure_connectivity if kind == STRUCTURE else substructure_connectivity
+                on = fn(g, m, g.n)
+                assert on == fn(g, m, g.n, off), g.edges()
+                assert on.value == oracle_connectivity(g, m, kind, g.n).value, g.edges()
+    assert fired > 1000
 
 
 def test_solver_is_deterministic():
