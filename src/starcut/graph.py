@@ -3,9 +3,10 @@
 Vertices are dense integers 0..n-1.  The adjacency is stored once, as one
 neighbor bitmask per vertex: bit v of masks[u] is set iff uv is an edge.
 The search, the verifiers and the reductions work on these vertex sets
-directly.  Neighbor lists, edge lists and neighborhoods are read off the
-masks in increasing id order, so every derived artifact (certificates,
-serialized files, search order) is deterministic.
+directly.  Neighbor lists and edge lists are read off the masks in
+increasing id order, so every derived artifact (certificates, serialized
+files, search order) is deterministic.  `mask_connected` is one BFS that
+stops at the first round that has reached the whole mask.
 """
 
 from __future__ import annotations
@@ -114,44 +115,30 @@ def cycle(n: int) -> Graph:
     return build(n, [(v, (v + 1) % n) for v in range(n)])
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    return Graph(a.masks + tuple(m << a.n for m in b.masks))
+def mask_reaches(g: Graph, mask: int, target: int) -> bool:
+    """True iff every vertex of `target` lies in one component of G[mask].
 
-
-def closed_neighborhood(g: Graph, xs: Iterable[int]) -> tuple[int, ...]:
-    mask = 0
-    for x in xs:
-        mask |= g.masks[x] | 1 << x
-    return tuple(bits(mask))
-
-
-def open_neighborhood(g: Graph, xs: Iterable[int]) -> tuple[int, ...]:
-    xmask = 0
-    mask = 0
-    for x in xs:
-        xmask |= 1 << x
-        mask |= g.masks[x]
-    return tuple(bits(mask & ~xmask))
-
-
-def remove_vertices(g: Graph, xs: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Delete a vertex set and re-index densely.
-
-    Returns (subgraph, old_ids) where old_ids[new_id] is the vertex's id in g.
+    `target` must lie inside `mask`; an empty target is trivially joined.
+    The BFS starts at the lowest target vertex and stops at the first round
+    that has reached all of `target`.  The solver's hopeless-center rule
+    relies on this lemma: if G[alive] is connected, every component of
+    Z = alive - N[c] meets the ring Z ∩ N(N(c)), so Z is connected iff
+    mask_reaches(g, Z, ring).
     """
-    gone = set(xs)
-    for x in gone:
-        if not (0 <= x < g.n):
-            raise ValueError(f"vertex {x} out of range")
-    old_ids = tuple(v for v in range(g.n) if v not in gone)
-    new_bit = {old: 1 << new for new, old in enumerate(old_ids)}
-    masks = []
-    for old in old_ids:
-        m = 0
-        for w in bits(g.masks[old]):
-            m |= new_bit.get(w, 0)
-        masks.append(m)
-    return Graph(masks), old_ids
+    if not target:
+        return True
+    masks = g.masks
+    reach = frontier = target & -target
+    while frontier and target & ~reach:
+        nxt = 0
+        rest = frontier
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            nxt |= masks[v]
+        frontier = nxt & mask & ~reach
+        reach |= frontier
+    return not target & ~reach
 
 
 def mask_connected(g: Graph, mask: int) -> bool:
@@ -159,21 +146,7 @@ def mask_connected(g: Graph, mask: int) -> bool:
 
     The empty and single-vertex masks count as connected.
     """
-    if mask == 0:
-        return True
-    masks = g.masks
-    reach = mask & -mask
-    frontier = reach
-    while frontier:
-        nxt = 0
-        rest = frontier
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            nxt |= masks[bit.bit_length() - 1]
-        frontier = nxt & mask & ~reach
-        reach |= frontier
-    return reach == mask
+    return mask_reaches(g, mask, mask)
 
 
 def is_connected(g: Graph) -> bool:

@@ -13,14 +13,24 @@ lexicographically least one and serves directly as the certificate.  The
 caller's time_limit bounds the whole call.  Four pruning rules cut the
 search: a minimum-degree bound, an untouchable dominating core, hopeless
 centers, and the complete-graph shortcut at the last level; a per-alive-set
-memo remembers centers already ruled out there.  A center c is hopeless when
-Z, the alive set outside N[c], is connected, the remainder keeps >= 2
-vertices, and every alive neighbor of c either touches Z or has more than m
-neighbors among those that do: a star at c removes at most m of them, so
-every surviving neighbor still reaches Z.  Each rule stays because
+memo remembers centers already ruled out there.  Each rule stays because
 switching it off was measured to slow the benchmark down.  Every rule is
 correctness-preserving; the prune_* options toggle the first three so tests
 can prove value-equality with pruning off.
+
+A center c is hopeless when Z, the alive set outside N[c], is connected, the
+remainder keeps >= 2 vertices, and every alive neighbor of c either touches
+Z or has more than m neighbors among those that do: a star at c removes at
+most m of them, so every surviving neighbor still reaches Z.  The BFS that
+proves Z connected stops once it has reached the ring R = Z ∩ N(N(c)):
+- Invariant: G[alive] is connected whenever the last star is placed.  Sizes
+  run 1, 2, ... and stop at the first that cuts, so at size t every
+  (t-1)-family, the chosen prefix included, was ruled out and leaves a
+  connected remainder; at size 1 alive is the whole, connected, input.
+- Lemma: if G[alive] is connected, every component of G[Z] meets R.  On a
+  path in G[alive] from z to c, the vertex just before the first one in
+  N[c] lies in R, and the path up to it stays in Z.  So Z is connected iff
+  R lies in one component of G[Z].
 
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
@@ -47,7 +57,7 @@ from .cuts import (
     leaves_independent,
     remainder_is_cut,
 )
-from .graph import Graph, bits, is_connected, mask_connected
+from .graph import Graph, bits, is_connected, mask_connected, mask_reaches
 
 ORACLE_SIZE_CAP = 14
 
@@ -229,6 +239,9 @@ class _Engine:
         # A, so every surviving vertex of A hangs onto Z, and so does every
         # other neighbor with more than m neighbors in A.  If that covers
         # all neighbors, no star at c can cut.
+        # G[alive] is connected (module docstring), so every component of
+        # G[Z] meets the ring Z ∩ N(N(c)), and Z is connected iff the ring
+        # lies in one component: the BFS stops once it has reached the ring.
         z = alive & ~nb & ~(1 << c)
         if not z:
             return False
@@ -236,17 +249,18 @@ class _Engine:
         leftover = deg - m if deg > m else 0
         if z.bit_count() + leftover < 2:
             return False
-        if not mask_connected(self.g, z):
-            return False
         masks = self.g.masks
+        ring = 0
         off = 0
         rest = nb
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if not masks[bit.bit_length() - 1] & z:
+            row = masks[bit.bit_length() - 1]
+            ring |= row
+            if not row & z:
                 # Too few neighbors even in all of N(c), let alone in A.
-                if (masks[bit.bit_length() - 1] & nb).bit_count() <= m:
+                if (row & nb).bit_count() <= m:
                     return False
                 off |= bit
         touch = nb & ~off
@@ -255,7 +269,7 @@ class _Engine:
             off ^= bit
             if (masks[bit.bit_length() - 1] & touch).bit_count() <= m:
                 return False
-        return True
+        return mask_reaches(self.g, z, ring & z)
 
     # -- last level: place one final star ---------------------------------
 

@@ -8,17 +8,14 @@ from starcut import (
     Graph,
     audit,
     build,
-    closed_neighborhood,
     complete,
     cycle,
-    disjoint_union,
     is_connected,
     mask_connected,
-    open_neighborhood,
     path,
-    remove_vertices,
     star,
 )
+from starcut.graph import mask_reaches
 
 
 def test_build_basics():
@@ -92,40 +89,6 @@ def test_star_layout():
     assert g.degree(1) == 1
 
 
-def test_disjoint_union():
-    g = disjoint_union(path(2), cycle(3))
-    assert g.n == 5
-    assert g.edge_count == 4
-    assert g.has_edge(0, 1)
-    assert g.has_edge(2, 3) and g.has_edge(2, 4)
-    assert not is_connected(g)
-
-
-def test_neighborhoods():
-    g = path(3)
-    assert closed_neighborhood(g, [1]) == (0, 1, 2)
-    assert open_neighborhood(g, [1]) == (0, 2)
-    assert open_neighborhood(path(4), [1, 2]) == (0, 3)
-    assert closed_neighborhood(g, []) == ()
-
-
-def test_remove_vertices_relabels():
-    g = cycle(5)
-    h, old = remove_vertices(g, [1, 3])
-    assert h.n == 3
-    assert old == (0, 2, 4)
-    # survivors 0-4 stay adjacent through the original edge (4, 0)
-    assert h.has_edge(0, 2)
-    assert h.edge_count == 1
-
-
-def test_remove_nothing_is_identity():
-    g = cycle(4)
-    h, old = remove_vertices(g, [])
-    assert h == g
-    assert old == (0, 1, 2, 3)
-
-
 def test_connectivity_predicates():
     assert is_connected(cycle(4))
     assert is_connected(build(0, []))
@@ -165,3 +128,41 @@ def test_build_random_edge_lists(case):
     assert g.edge_count == len({frozenset(e) for e in edges})
     for u, v in edges:
         assert g.has_edge(u, v)
+
+
+def _components(g, mask):
+    # Union-find over the edges inside `mask`, independent of the BFS.
+    parent = {v: v for v in range(g.n) if mask >> v & 1}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        if u in parent and v in parent:
+            parent[root(u)] = root(v)
+    return {v: root(v) for v in parent}
+
+
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16
+            ),
+            st.integers(0, (1 << n) - 1),
+            st.integers(0, (1 << n) - 1),
+        )
+    )
+)
+def test_mask_reaches_matches_components(case):
+    # `target` must lie inside `mask`; the sub-target is drawn that way.
+    n, raw, mask, pick = case
+    g = build(n, [(u, v) for u, v in raw if u != v])
+    comp = _components(g, mask)
+    for target in (0, mask, mask & pick):
+        want = len({comp[v] for v in range(n) if target >> v & 1}) <= 1
+        assert mask_reaches(g, mask, target) == want
+    assert mask_connected(g, mask) == (len(set(comp.values())) <= 1)

@@ -21,6 +21,7 @@ from starcut import (
     is_connected,
     is_structure_cut,
     is_substructure_cut,
+    mask_connected,
     min_star_partition,
     oracle_connectivity,
     path,
@@ -364,6 +365,53 @@ def test_center_skip_agrees_with_off_and_oracle(monkeypatch):
                 assert on == fn(g, m, g.n, off), g.edges()
                 assert on.value == oracle_connectivity(g, m, kind, g.n).value, g.edges()
     assert fired > 1000
+
+
+def test_last_star_sees_a_connected_alive_set(monkeypatch):
+    # The hopeless-center rule stops its BFS at the ring Z ∩ N(N(c)), which
+    # is sound only while G[alive] is connected when the last star is placed.
+    calls = 0
+    place = _Engine.last_star
+
+    def checked(self, alive, pmax):
+        nonlocal calls
+        calls += 1
+        assert mask_connected(self.g, alive), (tuple(self.g.edges()), alive)
+        return place(self, alive, pmax)
+
+    monkeypatch.setattr(_Engine, "last_star", checked)
+    variants = (
+        SearchOptions(),
+        SearchOptions(strict_trivial=True),
+        SearchOptions(induced=True),
+        SearchOptions(**{f: False for f in _PRUNE_FLAGS}),
+    )
+    for g, *_ in connected_corpus(40, max_n=10, seed0=0):
+        for m in range(4):
+            for fn in (structure_connectivity, substructure_connectivity):
+                for opts in variants:
+                    fn(g, m, g.n, opts)
+    assert calls > 1000
+
+
+# Lin, Zhang, Fan, Wang (TCS 634, 2016): kappa(Q_d; K_{1,1}) = d - 1 and
+# kappa(Q_d; K_{1,M}) = ceil(d/2) for M = 2, 3, for structure and
+# substructure alike.
+@pytest.mark.parametrize(
+    "d,m,kind",
+    [(d, m, k) for d in (3, 4, 5) for m in (1, 2, 3) for k in (STRUCTURE, SUBSTRUCTURE)]
+    + [(6, 2, STRUCTURE)],
+)
+def test_hypercube_closed_forms(d, m, kind):
+    want = d - 1 if m == 1 else -(-d // 2)
+    g = hypercube(d)
+    if kind == STRUCTURE:
+        fn, check = structure_connectivity, is_structure_cut
+    else:
+        fn, check = substructure_connectivity, is_substructure_cut
+    res = fn(g, m, want)
+    assert (res.value, res.complete) == (want, True)
+    assert check(g, res.certificate, m)
 
 
 def test_solver_is_deterministic():
