@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, build
+from .graph import Graph, bits
 
 Triple = tuple[int, int, int]
 
@@ -224,18 +224,3 @@ def solve_vertex_cover(inst: VertexCoverInstance) -> tuple[int, ...] | None:
         raise AssertionError("solver produced an invalid cover certificate")
     return result
 
-
-def bipartite_incidence(inst: ThreeDMInstance) -> Graph:
-    """The triple-element incidence graph.
-
-    Vertices 0..|T|-1 are triples, then 3n element vertices in class order
-    R, B, Y.  Triple i is adjacent to the vertices of its three elements.
-    """
-    t = len(inst.triples)
-    n = inst.n
-    edges = [
-        (i, t + slot)
-        for i, triple in enumerate(inst.triples)
-        for slot in element_slots(n, triple)
-    ]
-    return build(t + 3 * n, edges)

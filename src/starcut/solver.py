@@ -10,13 +10,25 @@ pass per size.  Families are sets, so each one is enumerated exactly once by
 requiring strictly increasing center ids.  Centers and leaves are tried in
 increasing id order, so the first family a pass finds is the
 lexicographically least one and serves directly as the certificate.  The
-caller's time_limit bounds the whole call.  Four pruning rules cut the
-search: a minimum-degree bound, an untouchable dominating core, hopeless
-centers, and the complete-graph shortcut at the last level; a per-alive-set
-memo remembers centers already ruled out there.  Each rule stays because
-switching it off was measured to slow the benchmark down.  Every rule is
-correctness-preserving; the prune_* options toggle the first three so tests
-can prove value-equality with pruning off.
+caller's time_limit bounds the whole call.
+
+Two pruning rules and a memo cut the search; each stays because switching
+it off was measured to slow the benchmark down, and none changes values or
+certificates.  The minimum-degree bound rules out a subtree whose alive set
+has no vertex of low enough degree to sit in the smallest remaining
+component; the hopeless-center rule (below) settles a last-level center
+without trying its leaf sets; memo_tau remembers, per alive set, the
+centers already ruled out at the last level.
+
+Complete graphs need no rule of their own.  The last star is placed only
+after the degree bound ran with one slot, and an alive clique on s >= m+3
+vertices has every degree s-1 with 2(s-1) > s+m-1, so the bound fires
+first (a separate clique test returned True 0 times in 187 / 16093 / 19493
+calls in one pass of the gadget / corpus / hypercube workloads).  A
+dominating-core rule, which ruled out an alive set around a connected core
+no later star can touch, fired only 0 / 649 / 689 times in 240 / 23205 /
+21900 calls once the hopeless-center rule covered its cases, and deleting
+it left every workload's wall time within its run-to-run spread.
 
 A center c is hopeless when Z, the alive set outside N[c], is connected, the
 remainder keeps >= 2 vertices, and every alive neighbor of c either touches
@@ -44,7 +56,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .cuts import (
     STRUCTURE,
@@ -57,7 +69,7 @@ from .cuts import (
     leaves_independent,
     remainder_is_cut,
 )
-from .graph import Graph, bits, is_connected, mask_connected, mask_reaches
+from .graph import Graph, bits, mask_connected, mask_reaches
 
 ORACLE_SIZE_CAP = 14
 
@@ -72,20 +84,13 @@ class SearchOptions:
     only).  time_limit (seconds) bounds the whole call: a search it stops
     becomes an incomplete result.
 
-    The prune_* switches turn off one rule each: prune_degree_bound the
-    minimum-degree bound, prune_untouched the dominating-core test,
-    prune_center_skip the hopeless-center test (a center whose every
-    neighbor touches the alive set Z outside its closed neighborhood, or has
-    more than m neighbors that do, cannot cut when Z is connected).  They
-    never change values or certificates, only speed; tests use them to
-    demonstrate that.
+    No option switches pruning: the degree bound, the hopeless-center rule
+    and the per-alive-set memo never change values or certificates, only
+    speed, so they always run.
     """
 
     strict_trivial: bool = False
     induced: bool = False
-    prune_untouched: bool = True
-    prune_degree_bound: bool = True
-    prune_center_skip: bool = True
     time_limit: float | None = None
 
 
@@ -167,14 +172,6 @@ class _Engine:
         self.m = m
         self.opts = opts
         self.exact = kind == STRUCTURE
-        n = g.n
-        masks = g.masks
-        # suffix_touch[c]: every vertex some star centered at c or above
-        # could remove.
-        suffix = [0] * (n + 1)
-        for c in range(n - 1, -1, -1):
-            suffix[c] = suffix[c + 1] | masks[c] | (1 << c)
-        self.suffix_touch = suffix
         # memo_tau[alive]: proven "no single cutting star centered above this
         # threshold inside `alive`".  Family-size independent.
         self.memo_tau: dict[int, int] = {}
@@ -186,16 +183,6 @@ class _Engine:
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Deadline
-
-    def _is_clique(self, alive: int) -> bool:
-        masks = self.g.masks
-        rest = alive
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if masks[bit.bit_length() - 1] & alive != alive ^ bit:
-                return False
-        return True
 
     def _degree_bound_miss(self, alive: int, slots: int) -> bool:
         # If a cut needs removals X, the smallest remaining component C has
@@ -216,21 +203,6 @@ class _Engine:
             if 2 * d <= threshold:
                 return False
         return True
-
-    def _untouched_miss(self, alive: int, pmax: int) -> bool:
-        # Core = alive vertices no future star can remove.  If the core is
-        # connected, has >= 2 vertices, and dominates everything alive, any
-        # completion leaves a connected nontrivial remainder around it.
-        core = alive & ~self.suffix_touch[pmax + 1]
-        if core.bit_count() < 2:
-            return False
-        masks = self.g.masks
-        cover = core
-        for v in bits(core):
-            cover |= masks[v]
-        if alive & ~cover:
-            return False
-        return mask_connected(self.g, core)
 
     def _center_hopeless(self, c: int, nb: int, deg: int, alive: int) -> bool:
         # Z = alive vertices out of the star's reach; A = alive neighbors of
@@ -283,11 +255,6 @@ class _Engine:
         tau = self.memo_tau.get(alive, g.n - 1)
         if tau <= pmax:
             return None
-        if alive.bit_count() >= m + 3 and self._is_clique(alive):
-            # No vertex deletion disconnects a complete graph, and one star
-            # is too small here to reach the trivial-remainder escape.
-            self.memo_tau[alive] = -1
-            return None
         masks = g.masks
         strict = opts.strict_trivial
         dead = g.full_mask & ~alive
@@ -300,7 +267,7 @@ class _Engine:
             deg = nb.bit_count()
             if self.exact and deg < m:
                 continue
-            if opts.prune_center_skip and self._center_hopeless(c, nb, deg, alive):
+            if self._center_hopeless(c, nb, deg, alive):
                 continue
             ticks = 0
             for leaves, smask in _leaf_sets(
@@ -323,10 +290,7 @@ class _Engine:
         self.nodes += 1
         if not self.nodes & 0xFF:
             self._check_deadline()
-        opts = self.opts
-        if opts.prune_degree_bound and self._degree_bound_miss(alive, slots):
-            return None
-        if opts.prune_untouched and self._untouched_miss(alive, pmax):
+        if self._degree_bound_miss(alive, slots):
             return None
         if slots == 1:
             star = self.last_star(alive, pmax)
@@ -343,7 +307,7 @@ class _Engine:
             if self.exact and nb.bit_count() < m:
                 continue
             for leaves, smask in _leaf_sets(
-                masks, bits(nb), m, self.exact, opts.induced, c, cbit
+                masks, bits(nb), m, self.exact, self.opts.induced, c, cbit
             ):
                 got = self.search(
                     alive & ~smask, c, slots - 1, chosen + [Star(c, leaves)]
@@ -364,7 +328,7 @@ def _validate_inputs(g: Graph, m: int, t_max: int) -> None:
         raise ValueError("star leaf bound must be nonnegative")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    if g.n < 2 or not is_connected(g):
+    if g.n < 2 or not mask_connected(g, g.full_mask):
         raise ValueError(
             "connectivity is defined only for connected graphs on >= 2 vertices"
         )
@@ -417,22 +381,6 @@ def substructure_connectivity(
 ) -> SolveResult:
     """Minimum size of a cutting family of K_{1,j} elements, j <= m."""
     return _connectivity(g, m, SUBSTRUCTURE, t_max, options)
-
-
-def enumerate_stars(
-    g: Graph, m: int, exact: bool, *, induced: bool = False
-) -> list[Star]:
-    """Every canonical star of g with exactly (or up to) m leaves, sorted.
-
-    Single-leaf stars appear once, centered at their smaller endpoint.
-    """
-    masks = g.masks
-    out: set[Star] = set()
-    for c in range(g.n):
-        cands = bits(masks[c])
-        for leaves, _ in _leaf_sets(masks, cands, m, exact, induced, c, 1 << c):
-            out.add(Star(c, leaves))
-    return sorted(out, key=Star.sort_key)
 
 
 # -- independent oracle --------------------------------------------------
@@ -514,21 +462,6 @@ def _best_partition(
             best = (sub[0] + 1, ((center, smask),) + sub[1])
     memo[rem] = best
     return best
-
-
-def min_star_partition(
-    g: Graph, xs: Iterable[int], m: int, exact: bool, *, induced: bool = False
-) -> int | None:
-    """Fewest disjoint stars of g (leaf bounds per flags) covering X exactly."""
-    xmask = 0
-    for x in xs:
-        if not (0 <= x < g.n):
-            raise ValueError(f"vertex {x} out of range")
-        xmask |= 1 << x
-    if m < 0:
-        raise ValueError("star leaf bound must be nonnegative")
-    got = _best_partition(g, xmask, m, exact, induced, {})
-    return got[0] if got is not None else None
 
 
 def oracle_connectivity(

@@ -1,11 +1,28 @@
 """Shared test utilities: a brute-force vertex connectivity reference,
-seeded graph corpora, and exhaustive small-graph enumeration."""
+seeded graph corpora, exhaustive small-graph enumeration, and a switch that
+turns the solver's pruning rules off."""
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from itertools import combinations, permutations
+from unittest.mock import patch
 
 from starcut import Graph, build, gen_random_graph, is_connected, mask_connected
+from starcut.solver import _Engine
+
+# The solver's prune predicates; each returns True to rule a subtree or a
+# center out, so patching it to return False switches that rule off.
+PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless")
+
+
+@contextmanager
+def pruning_off(*rules: str):
+    """Run the block with the named _Engine prune predicates never firing."""
+    with ExitStack() as stack:
+        for rule in rules:
+            stack.enter_context(patch.object(_Engine, rule, lambda self, *args: False))
+        yield
 
 
 def brute_vertex_connectivity(g: Graph) -> int | None:

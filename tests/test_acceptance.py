@@ -2,10 +2,11 @@
 single PASS/FAIL line with the failing cases attached.
 
 Two criteria fail by design of the gadgets themselves, not by a solver
-bug: the matching gadget admits clique-severing one-element cuts that
-exist whether or not the source instance is solvable, and the cover
-gadget admits cuts that do not correspond to any cover.  The failures
-below list the concrete counterexamples; see the README for discussion.
+bug: the matching gadget admits a one-element cut (a star at a tail
+partner that strands the rest of block 1) whether or not the source
+instance is solvable, and the cover gadget admits cuts that do not
+correspond to any cover.  The failures below list the concrete
+counterexamples; see the README for discussion.
 """
 
 from __future__ import annotations

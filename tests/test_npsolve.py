@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from starcut import (
     ThreeDMInstance,
     VertexCoverInstance,
-    bipartite_incidence,
     build,
     complete,
     cycle,
@@ -153,17 +152,6 @@ def test_solve_vertex_cover_agrees_with_enumeration(n, seed, p):
         assert (got is not None) == _cover_by_enumeration(g, k)
         if got is not None:
             assert len(got) <= k and is_vertex_cover(g, got)
-
-
-def test_bipartite_incidence_layout():
-    inst = ThreeDMInstance(2, ((1, 1, 1), (2, 2, 2), (1, 2, 2)))
-    g = bipartite_incidence(inst)
-    assert g.n == 3 + 6
-    # triple 2 = (1,2,2) touches r1, b2, y2 at flat slots 0, 3, 5
-    assert g.neighbors(2) == (3, 6, 8)
-    # element r1 (slot 0 -> vertex 3) is hit by triples 0 and 2
-    assert g.neighbors(3) == (0, 2)
-    assert g.edge_count == 9
 
 
 def test_cover_solver_on_cycles():

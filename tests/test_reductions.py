@@ -159,6 +159,41 @@ def test_unsolvable_gadget_still_has_a_one_cut():
     assert extract_matching(red, res.certificate) is None
 
 
+def _tail_partner_star(red):
+    # Block 1's last vertex b carries the element edge; every block vertex
+    # has one tail partner.  The star at b's partner, with b and the other
+    # m-1 partners as leaves, strands the rest of block 1.
+    m = red.m
+    center = red.roles.index(VertexRole(UPRM, m))
+    b = red.roles.index(VertexRole(UBLK, m, 1))
+    partners = [red.roles.index(VertexRole(UPRM, i)) for i in range(1, m)]
+    return Star(center, tuple(sorted([b, *partners])))
+
+
+def test_every_matching_gadget_has_the_tail_partner_one_cut():
+    # The law behind criterion 3's NO-side failure: kappa is 1 on every
+    # gadget, so the gadget is decision-equivalent only when n = 1.
+    red = reduce_3dm(gen_random_3dm(3, 4, True, 1), 5, allow_unrestricted=True)
+    assert _tail_partner_star(red) == Star(149, (104, 145, 146, 147, 148))
+    instances = []
+    for n in (1, 2, 3, 4):
+        for extra in (0, 1, 2):
+            for solvable in (True, False):
+                for seed in range(3):
+                    try:
+                        instances.append(gen_random_3dm(n, extra, solvable, seed))
+                    except ValueError:
+                        pass  # no such instance under the occurrence cap
+    checked = 0
+    for inst in instances:
+        for m in (5, 6, 7):
+            red = reduce_3dm(inst, m, allow_unrestricted=True)
+            cut = CutFamily(STRUCTURE, m, (_tail_partner_star(red),))
+            assert is_structure_cut(red.graph, cut, m), (inst, m)
+            checked += 1
+    assert checked == 171
+
+
 def test_reduce_vc_layout():
     red = reduce_vertex_cover(VertexCoverInstance(path(3), 1))
     g = red.graph

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_corpus
+from helpers import PRUNE_RULES, connected_corpus, pruning_off
 from starcut import (
     STRUCTURE,
     SUBSTRUCTURE,
@@ -15,14 +15,12 @@ from starcut import (
     build,
     complete,
     cycle,
-    enumerate_stars,
     gen_random_3dm,
     gen_random_graph,
     is_connected,
     is_structure_cut,
     is_substructure_cut,
     mask_connected,
-    min_star_partition,
     oracle_connectivity,
     path,
     reduce_3dm,
@@ -33,7 +31,7 @@ from starcut import (
     write_cut,
 )
 from starcut.graph import bits
-from starcut.solver import _Engine
+from starcut.solver import _best_partition, _Engine
 
 BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -149,28 +147,22 @@ def test_time_limit_reports_incomplete():
 # -- result is independent of pruning ---------------------------------------
 
 
-_PRUNE_FLAGS = (
-    "prune_untouched",
-    "prune_degree_bound",
-    "prune_center_skip",
-)
-
-
-def _option_variants(strict):
-    yield SearchOptions(strict_trivial=strict)
-    yield SearchOptions(strict_trivial=strict, **{f: False for f in _PRUNE_FLAGS})
-    for flag in _PRUNE_FLAGS:
-        yield SearchOptions(strict_trivial=strict, **{flag: False})
+# Each entry is a set of prune rules to switch off: none, all, each alone.
+_PRUNE_VARIANTS = ((), PRUNE_RULES, *((rule,) for rule in PRUNE_RULES))
 
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_prune_toggles_do_not_change_answers(strict):
+    opts = SearchOptions(strict_trivial=strict)
     for g, *_ in connected_corpus(12, max_n=8, seed0=100):
         for m in (1, 2):
             for fn in (structure_connectivity, substructure_connectivity):
-                results = [fn(g, m, g.n, o) for o in _option_variants(strict)]
-                vals = {(r.value, _cert(r), r.complete) for r in results}
-                assert len(vals) == 1, f"options disagree on {g.edges()} m={m}: {vals}"
+                vals = set()
+                for rules in _PRUNE_VARIANTS:
+                    with pruning_off(*rules):
+                        r = fn(g, m, g.n, opts)
+                    vals.add((r.value, _cert(r), r.complete))
+                assert len(vals) == 1, f"pruning changes {g.edges()} m={m}: {vals}"
 
 
 # -- pinned certificates ------------------------------------------------------
@@ -356,13 +348,14 @@ def test_center_skip_agrees_with_off_and_oracle(monkeypatch):
         return got
 
     monkeypatch.setattr(_Engine, "_center_hopeless", counting)
-    off = SearchOptions(prune_center_skip=False)
     for g, *_ in connected_corpus(60, max_n=11, seed0=0):
         for m in (1, 2, 3):
             for kind in (STRUCTURE, SUBSTRUCTURE):
                 fn = structure_connectivity if kind == STRUCTURE else substructure_connectivity
                 on = fn(g, m, g.n)
-                assert on == fn(g, m, g.n, off), g.edges()
+                with pruning_off("_center_hopeless"):
+                    off = fn(g, m, g.n)
+                assert on == off, g.edges()
                 assert on.value == oracle_connectivity(g, m, kind, g.n).value, g.edges()
     assert fired > 1000
 
@@ -381,16 +374,17 @@ def test_last_star_sees_a_connected_alive_set(monkeypatch):
 
     monkeypatch.setattr(_Engine, "last_star", checked)
     variants = (
-        SearchOptions(),
-        SearchOptions(strict_trivial=True),
-        SearchOptions(induced=True),
-        SearchOptions(**{f: False for f in _PRUNE_FLAGS}),
+        (SearchOptions(), ()),
+        (SearchOptions(strict_trivial=True), ()),
+        (SearchOptions(induced=True), ()),
+        (SearchOptions(), PRUNE_RULES),
     )
     for g, *_ in connected_corpus(40, max_n=10, seed0=0):
         for m in range(4):
             for fn in (structure_connectivity, substructure_connectivity):
-                for opts in variants:
-                    fn(g, m, g.n, opts)
+                for opts, rules in variants:
+                    with pruning_off(*rules):
+                        fn(g, m, g.n, opts)
     assert calls > 1000
 
 
@@ -414,6 +408,37 @@ def test_hypercube_closed_forms(d, m, kind):
     assert check(g, res.certificate, m)
 
 
+# No vertex set disconnects K_n, so a cut must leave at most one vertex.
+# Substructure removes n-1 vertices with ceil((n-1)/(M+1)) stars.  Structure
+# removes a multiple of M+1 vertices: n-1, or n when the empty remainder
+# counts as trivial.  With pruning on, the degree bound rules out every alive
+# clique on >= M+3 vertices before a last star is tried; with it off, the
+# leaf-set scan must reach the same values.
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("rules", [(), PRUNE_RULES], ids=["pruning_on", "pruning_off"])
+def test_complete_graph_closed_forms(strict, rules):
+    opts = SearchOptions(strict_trivial=strict)
+    for n in range(3, 10):
+        g = complete(n)
+        for m in range(4):
+            if (n - 1) % (m + 1) == 0:
+                want_structure = (n - 1) // (m + 1)
+            elif not strict and n % (m + 1) == 0:
+                want_structure = n // (m + 1)
+            else:
+                want_structure = None
+            cases = (
+                (structure_connectivity, is_structure_cut, want_structure),
+                (substructure_connectivity, is_substructure_cut, -(-(n - 1) // (m + 1))),
+            )
+            for fn, check, want in cases:
+                with pruning_off(*rules):
+                    res = fn(g, m, n, opts)
+                assert (res.value, res.complete) == (want, True), (n, m, fn.__name__)
+                if want is not None:
+                    assert check(g, res.certificate, m, strict_trivial=strict)
+
+
 def test_solver_is_deterministic():
     g = connected_corpus(1, max_n=9, seed0=77)[0][0]
     a = structure_connectivity(g, 2, g.n)
@@ -421,47 +446,31 @@ def test_solver_is_deterministic():
     assert a == b
 
 
-# -- star enumeration and partitions ----------------------------------------
+# -- star partitions (the oracle's core) -------------------------------------
 
 
-def test_enumerate_stars_k4_exact():
-    stars = enumerate_stars(complete(4), 3, True)
-    assert [s.center for s in stars] == [0, 1, 2, 3]
-    assert stars[0] == Star(0, (1, 2, 3))
-
-
-def test_enumerate_stars_k4_m1_exact_dedups_orientations():
-    stars = enumerate_stars(complete(4), 1, True)
-    assert len(stars) == 6
-    assert all(s.center < s.leaves[0] for s in stars)
-
-
-def test_enumerate_stars_inexact_counts():
-    # P3: three K_1, two K_{1,1} after canonical dedup, one K_{1,2}
-    stars = enumerate_stars(path(3), 2, False)
-    assert len(stars) == 6
-    assert stars == sorted(stars, key=Star.sort_key)
-    assert len(set(stars)) == len(stars)
-
-
-def test_enumerate_stars_exact_m0():
-    assert enumerate_stars(path(2), 0, True) == [Star(0, ()), Star(1, ())]
+def _partition_size(g, xs, m, exact, induced=False):
+    xmask = 0
+    for x in xs:
+        xmask |= 1 << x
+    got = _best_partition(g, xmask, m, exact, induced, {})
+    return got[0] if got is not None else None
 
 
 def test_min_star_partition_cases():
     k4 = complete(4)
-    assert min_star_partition(k4, range(4), 1, True) == 2
-    assert min_star_partition(k4, range(4), 3, True) == 1
-    assert min_star_partition(path(3), [0, 2], 1, True) is None
-    assert min_star_partition(path(3), [0, 2], 1, False) == 2
-    assert min_star_partition(k4, [], 3, True) == 0
-    assert min_star_partition(path(4), range(4), 1, True) == 2
+    assert _partition_size(k4, range(4), 1, True) == 2
+    assert _partition_size(k4, range(4), 3, True) == 1
+    assert _partition_size(path(3), [0, 2], 1, True) is None
+    assert _partition_size(path(3), [0, 2], 1, False) == 2
+    assert _partition_size(k4, [], 3, True) == 0
+    assert _partition_size(path(4), range(4), 1, True) == 2
 
 
 def test_min_star_partition_induced():
     t = complete(3)
-    assert min_star_partition(t, range(3), 2, True) == 1
-    assert min_star_partition(t, range(3), 2, True, induced=True) is None
+    assert _partition_size(t, range(3), 2, True) == 1
+    assert _partition_size(t, range(3), 2, True, induced=True) is None
 
 
 # -- agreement with the independent oracle -----------------------------------
