@@ -94,19 +94,14 @@ def _cmd_verify(args) -> int:
 def _gadget_3dm(args):
     """Matching gadget: (reduction, source solver, gadget solver, decoder)."""
     inst = parse_3dm(_read(args.infile))
-    red = reduce_3dm(
-        inst,
-        args.M,
-        allow_small_m=args.allow_small_m,
-        allow_unrestricted=args.allow_unrestricted,
-    )
+    red = reduce_3dm(inst, args.M, allow_unrestricted=args.allow_unrestricted)
     return red, solve_3dm, structure_connectivity, extract_matching
 
 
 def _gadget_vc(args):
     """Cover gadget: (reduction, source solver, gadget solver, decoder)."""
     g = parse_graph(_read(args.graph))
-    red = reduce_vertex_cover(VertexCoverInstance(g, args.k), args.M)
+    red = reduce_vertex_cover(VertexCoverInstance(g, args.k))
     return red, solve_vertex_cover, substructure_connectivity, extract_cover
 
 
@@ -217,11 +212,17 @@ def _cmd_gen_3dm(args) -> int:
     return _emit(write_3dm(inst), args.out)
 
 
-def _add_solver_flags(p):
+def _add_cut_flags(p):
+    """The two readings of a cut, shared by every verb that decides one."""
     p.add_argument("--strict-trivial", action="store_true",
                    help="only a 1-vertex remainder counts as trivial")
     p.add_argument("--induced", action="store_true",
                    help="require star leaves to be pairwise non-adjacent")
+
+
+def _add_solver_flags(p):
+    """The cut readings plus the time limit, for verbs that run the solver."""
+    _add_cut_flags(p)
     p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
                    help="give up and report inconclusive after this long")
 
@@ -246,25 +247,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a cut file against a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--cut", required=True)
-    p.add_argument("--strict-trivial", action="store_true")
-    p.add_argument("--induced", action="store_true")
+    _add_cut_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("reduce-3dm", help="matching instance -> structure gadget")
     p.add_argument("--in", dest="infile", required=True, help="3dm instance file")
-    p.add_argument("--M", type=int, default=5, help="leaves per star (default 5)")
+    p.add_argument("--M", type=int, default=5, help="leaves per star, at least 5 (default 5)")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--allow-unrestricted", action="store_true",
                    help="skip the occurrence-count restriction check")
-    p.add_argument("--allow-small-m", action="store_true",
-                   help="permit M = 4 (default insists on M >= 5)")
     p.set_defaults(func=_cmd_reduce, gadget=_gadget_3dm)
 
     p = sub.add_parser("reduce-vc", help="cover instance -> substructure gadget")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True, help="cover budget")
-    p.add_argument("--M", type=int, default=None,
-                   help="leaves per star; must equal the max degree (the default)")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_reduce, gadget=_gadget_vc)
 
@@ -287,8 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--tmax", type=int, required=True)
     q.add_argument("--size-cap", type=int, default=ORACLE_SIZE_CAP,
                    help=f"largest removal set to enumerate (default {ORACLE_SIZE_CAP})")
-    q.add_argument("--strict-trivial", action="store_true")
-    q.add_argument("--induced", action="store_true")
+    _add_cut_flags(q)
     q.set_defaults(func=_cmd_oracle_kappa)
 
     p = sub.add_parser("roundtrip",
@@ -299,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--M", type=int, default=5)
     q.add_argument("--allow-unrestricted", action="store_true")
-    q.add_argument("--allow-small-m", action="store_true")
     q.add_argument("--out-prefix", default=None)
     _add_solver_flags(q)
     q.set_defaults(func=_cmd_roundtrip, gadget=_gadget_3dm)
@@ -307,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = rsub.add_parser("vc")
     q.add_argument("--graph", required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--M", type=int, default=None)
     q.add_argument("--out-prefix", default=None)
     _add_solver_flags(q)
     q.set_defaults(func=_cmd_roundtrip, gadget=_gadget_vc)

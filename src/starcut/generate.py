@@ -17,8 +17,6 @@ from .npsolve import ThreeDMInstance, element_occurrences, element_slots, solve_
 # gadget degrees small enough to audit by hand.
 OCCURRENCE_CAP = 3
 
-_REJECTION_LIMIT = 10_000
-
 
 def gen_random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi style graph: each pair independently an edge with prob p."""
@@ -44,25 +42,37 @@ def _sample_extras(
 ) -> list[tuple[int, int, int]] | None:
     """Append `extra` distinct triples to base, or None when the cap blocks it.
 
-    base itself must respect the occurrence cap.
+    base itself must respect the occurrence cap.  A triple is open when it is
+    new and all three of its elements are under the cap.  Before each
+    placement the open triples are counted in O(n + |have|); with none left
+    the call gives up at once, else it draws until it hits an open one.
     """
     triples = list(base)
     have = set(triples)
     occ = element_occurrences(ThreeDMInstance(n, tuple(base)))
     for _ in range(extra):
-        for _ in range(_REJECTION_LIMIT):
+        # Open triples = product of each class's elements under the cap,
+        # less the triples already taken whose elements are all under it.
+        free = [
+            sum(1 for c in occ[k * n : (k + 1) * n] if c < OCCURRENCE_CAP)
+            for k in range(3)
+        ]
+        taken = sum(
+            1 for t in have if all(occ[s] < OCCURRENCE_CAP for s in element_slots(n, t))
+        )
+        if free[0] * free[1] * free[2] == taken:
+            return None
+        while True:
             cand = _random_triple(rng, n)
             if cand in have:
                 continue
             slots = element_slots(n, cand)
             if all(occ[s] < OCCURRENCE_CAP for s in slots):
-                for s in slots:
-                    occ[s] += 1
-                triples.append(cand)
-                have.add(cand)
                 break
-        else:
-            return None
+        for s in slots:
+            occ[s] += 1
+        triples.append(cand)
+        have.add(cand)
     return triples
 
 

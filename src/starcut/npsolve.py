@@ -21,7 +21,7 @@ class ThreeDMInstance:
 
     Triple order matters: solutions are reported as indices into `triples`.
     Duplicate triples are representable (some desk-scale corpora need them);
-    validate_3dm reports them as a structural defect.
+    validate_3dm rejects them.
     """
 
     n: int
@@ -50,25 +50,16 @@ def element_occurrences(inst: ThreeDMInstance) -> list[int]:
     return occ
 
 
-def validate_3dm(inst: ThreeDMInstance, enforce_restriction: bool = False) -> bool:
-    """Structural validity, optionally plus the bounded-occurrence restriction.
+def validate_3dm(inst: ThreeDMInstance) -> bool:
+    """The restricted variant: triples pairwise distinct, and every element
+    occurs in exactly 2 or 3 triples.
 
-    Structural: coordinates in range (guaranteed by construction) and triples
-    pairwise distinct.  Restriction: every element occurs in exactly 2 or 3
-    triples, and with m elements of occurrence 2 and n' of occurrence 3 the
-    identity 2m + 3n' = 3|T| holds.
+    Coordinates are in range by construction.  The occurrence counts always
+    sum to 3|T|, so no separate count identity needs checking.
     """
     if len(set(inst.triples)) != len(inst.triples):
         return False
-    if enforce_restriction:
-        occ = element_occurrences(inst)
-        if any(c not in (2, 3) for c in occ):
-            return False
-        twos = sum(1 for c in occ if c == 2)
-        threes = sum(1 for c in occ if c == 3)
-        if 2 * twos + 3 * threes != 3 * len(inst.triples):
-            return False
-    return True
+    return all(c in (2, 3) for c in element_occurrences(inst))
 
 
 def verify_matching(inst: ThreeDMInstance, indices: tuple[int, ...]) -> bool:
@@ -94,59 +85,47 @@ def solve_3dm(inst: ThreeDMInstance) -> tuple[int, ...] | None:
     """Exhaustive backtracking for a perfect matching; None when unsolvable.
 
     Branches on the uncovered element with the fewest remaining candidate
-    triples (fail-first), which keeps desk-scale instances instant.
+    triples (fail-first, lowest slot on ties), trying its triples in index
+    order, which keeps desk-scale instances instant.  The state is one
+    bitmask of covered W slots; a triple is free while its slot mask misses
+    it.
     """
     n = inst.n
     # candidates[slot] = triple indices touching that W slot (0..3n-1).
     candidates: list[list[int]] = [[] for _ in range(3 * n)]
-    slots_of: list[Triple] = []
+    masks: list[int] = []
     for i, triple in enumerate(inst.triples):
-        slots = element_slots(n, triple)
-        slots_of.append(slots)
-        for s in slots:
+        mask = 0
+        for s in element_slots(n, triple):
             candidates[s].append(i)
-
-    covered = [False] * (3 * n)
-    used = [False] * len(inst.triples)
+            mask |= 1 << s
+        masks.append(mask)
     picked: list[int] = []
 
-    def free_count(slot: int) -> int:
-        return sum(
-            1
-            for i in candidates[slot]
-            if not used[i] and not any(covered[s] for s in slots_of[i])
-        )
-
-    def search() -> bool:
+    def search(covered: int) -> bool:
         if len(picked) == n:
             return True
         # Fail-first: branch on the scarcest uncovered slot.
         best_slot = -1
         best = None
         for slot in range(3 * n):
-            if covered[slot]:
+            if covered >> slot & 1:
                 continue
-            c = free_count(slot)
+            c = sum(1 for i in candidates[slot] if not masks[i] & covered)
             if c == 0:
                 return False
             if best is None or c < best:
                 best, best_slot = c, slot
         for i in candidates[best_slot]:
-            if used[i] or any(covered[s] for s in slots_of[i]):
+            if masks[i] & covered:
                 continue
-            used[i] = True
-            for s in slots_of[i]:
-                covered[s] = True
             picked.append(i)
-            if search():
+            if search(covered | masks[i]):
                 return True
             picked.pop()
-            for s in slots_of[i]:
-                covered[s] = False
-            used[i] = False
         return False
 
-    if not search():
+    if not search(0):
         return None
     result = tuple(sorted(picked))
     if not verify_matching(inst, result):

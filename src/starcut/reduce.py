@@ -99,10 +99,9 @@ def reduce_3dm(
     inst: ThreeDMInstance,
     m: int = 5,
     *,
-    allow_small_m: bool = False,
     allow_unrestricted: bool = False,
 ) -> ReducedInstance:
-    """Build the matching gadget for star size m (m >= 5 by default).
+    """Build the matching gadget for star size m; m must be at least 5.
 
     Layout, in id order: the |T| triple vertices, the 3n element vertices
     (first class, second class, third class), m-3 cliques of (m+1)|T|
@@ -112,17 +111,15 @@ def reduce_3dm(
     the last vertex of block l; a perfect matching between the blocks and
     the final clique.
 
-    allow_small_m lowers the floor to m >= 4 for experimentation.
     allow_unrestricted accepts instances with repeated triples or element
     occurrence counts outside {2, 3}.
     """
-    floor = 4 if allow_small_m else 5
-    if m < floor:
-        raise ValueError(f"star size must be at least {floor}")
+    if m < 5:
+        raise ValueError("star size must be at least 5")
     t = len(inst.triples)
     if t < 1:
         raise ValueError("at least one triple is required")
-    if not allow_unrestricted and not validate_3dm(inst, enforce_restriction=True):
+    if not allow_unrestricted and not validate_3dm(inst):
         raise ValueError(
             "instance violates the occurrence restriction; "
             "pass allow_unrestricted to build anyway"
@@ -182,12 +179,11 @@ def _clique_edges(lo: int, size: int) -> list[tuple[int, int]]:
     return [(lo + a, lo + b) for a in range(size) for b in range(a + 1, size)]
 
 
-def audit_reduced_3dm(red: ReducedInstance, restricted_degrees: bool = False) -> None:
+def audit_reduced_3dm(red: ReducedInstance) -> None:
     """Check sizes, role layout, and exact per-role degrees; raises on defect.
 
-    With restricted_degrees, additionally require every element vertex to
-    have degree at most 4, which holds exactly when no element occurs in
-    more than 3 triples.
+    Every element vertex must have degree exactly its occurrence count + 1,
+    so on a restricted instance element degrees are 3 or 4.
     """
     inst = red.source
     if not isinstance(inst, ThreeDMInstance):
@@ -214,8 +210,6 @@ def audit_reduced_3dm(red: ReducedInstance, restricted_degrees: bool = False) ->
             want = occ[role.i - 1] + 1
             if d != want:
                 raise AssertionError(f"element vertex {v} has degree {d}, want {want}")
-            if restricted_degrees and d > 4:
-                raise AssertionError(f"element vertex {v} has degree {d} > 4")
         elif role.tag == CLIQ:
             want = clique_size - 1 + (1 if role.i <= t else 0)
             if d != want:
@@ -290,21 +284,17 @@ def extract_matching(red: ReducedInstance, family: CutFamily) -> tuple[int, ...]
 # -- cover gadget ----------------------------------------------------------
 
 
-def reduce_vertex_cover(
-    inst: VertexCoverInstance, m: int | None = None
-) -> ReducedInstance:
+def reduce_vertex_cover(inst: VertexCoverInstance) -> ReducedInstance:
     """Build the cover gadget: k+2 cliques of |V| vertices plus private taps.
 
     Layout: the original vertices first, then clique 1..k+2, each |V|
     consecutive ids; vertex i keeps its edges and gains one tap into every
-    clique (the i-th vertex there).  The star size is always the maximum
-    degree of the source graph; passing a conflicting m is an error.
+    clique (the i-th vertex there).  The star size m is the maximum degree
+    of the source graph.
     """
     g = inst.graph
     n = g.n
     delta = max((g.degree(v) for v in range(n)), default=0)
-    if m is not None and m != delta:
-        raise ValueError(f"star size is fixed to the maximum degree {delta}")
     k = inst.k
     roles: list[VertexRole] = [VertexRole(ORIG, i + 1) for i in range(n)]
     edges: list[tuple[int, int]] = list(g.edges())
@@ -419,14 +409,10 @@ def extract_cover(red: ReducedInstance, family: CutFamily) -> tuple[int, ...] | 
         raise ValueError("not a cover gadget")
     if not is_substructure_cut(red.graph, family, red.m):
         raise ValueError("family is not a substructure cut of the gadget")
-    candidate: set[int] = set()
-    for s in family.elements:
-        role = red.roles[s.center]
-        if role.tag == ORIG:
-            candidate.add(role.i - 1)
-        elif role.tag == CLIQ:
-            candidate.add(role.i - 1)
-    picked = tuple(sorted(candidate))
+    # A cover gadget has only ORIG and CLIQ roles, and both name source
+    # vertex i: ORIG is vertex i itself, CLIQ the i-th vertex of a clique,
+    # whose one neighbor outside the clique is vertex i.
+    picked = tuple(sorted({red.roles[s.center].i - 1 for s in family.elements}))
     if len(picked) <= inst.k and is_vertex_cover(inst.graph, picked):
         return picked
     return None

@@ -205,7 +205,7 @@ def test_criterion_5_gadget_audits():
         red = reduce_3dm(inst, 5, allow_unrestricted=True)
         t, q, m = len(inst.triples), inst.n, red.m
         try:
-            audit_reduced_3dm(red, restricted_degrees=True)
+            audit_reduced_3dm(red)
             if red.graph.n != t + 3 * q + (m - 3) * (m + 1) * t + 6 * q * m:
                 raise AssertionError("size formula")
             for v, role in enumerate(red.roles):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -21,7 +22,7 @@ from starcut import (
     write_3dm,
     write_graph,
 )
-from starcut.cli import run
+from starcut.cli import _build_parser, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,7 +35,7 @@ BALANCED_3DM = "3dm 2 4\nt 1 1 1\nt 1 2 2\nt 2 1 2\nt 2 2 1\n"
 # sha256 of the .graph and .roles texts of the M=5 matching gadget of ONE_3DM
 ONE_3DM_GRAPH_SHA256 = "4fb3ea56c1548052998c35cc397dd25501c4ddf410fe2d02e0f861bcb512a93a"
 ONE_3DM_ROLES_SHA256 = "e5b67f0b86c990ad20ca18bda44b69e8767b52c9acaef0579dcb993e6c7f0075"
-# the vertex cover gadget of P3 with k=1 (M defaults to the max degree, 2)
+# the vertex cover gadget of P3 with k=1 (M is the max degree, 2)
 P3_VC_GRAPH = (
     "p edge 12 20\n"
     "e 1 2\ne 1 4\ne 1 7\ne 1 10\ne 2 3\ne 2 5\ne 2 8\ne 2 11\n"
@@ -263,6 +264,57 @@ def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit) as ei:
         run(["nope"])
     assert ei.value.code == 2
+
+
+_SOLVER_FLAGS = {"--strict-trivial", "--induced", "--time-limit"}
+# The option strings of every verb; a flag added or deleted shows up here.
+CLI_SURFACE = {
+    "solve": {"--graph", "--M", "--sub", "--tmax"} | _SOLVER_FLAGS,
+    "verify": {"--graph", "--cut", "--strict-trivial", "--induced"},
+    "reduce-3dm": {"--in", "--M", "--out-prefix", "--allow-unrestricted"},
+    "reduce-vc": {"--graph", "--k", "--out-prefix"},
+    "oracle 3dm": {"--in"},
+    "oracle vc": {"--graph", "--k"},
+    "oracle kappa": {"--graph", "--M", "--sub", "--tmax", "--size-cap",
+                     "--strict-trivial", "--induced"},
+    "roundtrip 3dm": {"--in", "--M", "--allow-unrestricted", "--out-prefix"}
+    | _SOLVER_FLAGS,
+    "roundtrip vc": {"--graph", "--k", "--out-prefix"} | _SOLVER_FLAGS,
+    "gen graph": {"--n", "--p", "--seed", "--out"},
+    "gen 3dm": {"--n", "--extra", "--unsolvable", "--seed", "--out"},
+}
+
+
+def _cli_surface(parser, verb=()):
+    """Map each leaf verb path to the set of its option strings, minus -h."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {
+            " ".join(verb): {
+                o for a in parser._actions for o in a.option_strings
+                if o not in ("-h", "--help")
+            }
+        }
+    found = {}
+    for action in subs:
+        for name, child in action.choices.items():
+            found.update(_cli_surface(child, verb + (name,)))
+    return found
+
+
+def test_cli_surface_is_pinned(files):
+    assert _cli_surface(_build_parser()) == CLI_SURFACE
+    g = files("p3.graph", P3)
+    inst = files("one.3dm", ONE_3DM)
+    for argv in (
+        ["reduce-3dm", "--in", inst, "--M", "4", "--allow-small-m", "--out-prefix", "x"],
+        ["roundtrip", "3dm", "--in", inst, "--allow-small-m"],
+        ["reduce-vc", "--graph", g, "--k", "1", "--M", "2", "--out-prefix", "x"],
+        ["roundtrip", "vc", "--graph", g, "--k", "1", "--M", "2"],
+    ):
+        with pytest.raises(SystemExit) as ei:
+            run(argv)
+        assert ei.value.code == 2
 
 
 def test_module_entrypoint_smoke(tmp_path):

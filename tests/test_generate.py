@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+import starcut.generate as generate
 from starcut import (
     OCCURRENCE_CAP,
     complete,
@@ -79,6 +82,44 @@ def test_gen_3dm_extras_blocked_by_cap():
     # n=2: first coordinates give at most 2*OCCURRENCE_CAP = 6 triples total
     with pytest.raises(ValueError):
         gen_random_3dm(2, 5, True, 0)
+
+
+@pytest.mark.parametrize("n, extra, most", [(1, 1, 0), (2, 5, 999)])
+def test_gen_3dm_blocked_extras_give_up_without_drawing_on(monkeypatch, n, extra, most):
+    # The open triples are counted before each draw, so a parameter set the
+    # cap cannot meet fails as soon as none is left.
+    calls = []
+    draw = generate._random_triple
+
+    def counted(rng, size):
+        calls.append(size)
+        return draw(rng, size)
+
+    monkeypatch.setattr(generate, "_random_triple", counted)
+    with pytest.raises(ValueError, match="could not place the extra triples"):
+        gen_random_3dm(n, extra, True, 0)
+    assert len(calls) <= most
+
+
+# sha256 of repr(records) for the sweep below, where a record is
+# ("ok", n, extra, solvable, seed, triples) or ("err", ..., message).  Test
+# corpora are referenced by their parameters, so no instance may drift.
+GEN_3DM_SWEEP_SHA256 = "661e1fc1125467bba95ad03b7a9f883c2950fd159ed43bbf38c568bc75d882ac"
+
+
+def test_gen_3dm_sweep_is_pinned():
+    records = []
+    for n in range(1, 6):
+        for extra in range(5):
+            for solvable in (True, False):
+                for seed in range(10):
+                    try:
+                        inst = gen_random_3dm(n, extra, solvable, seed)
+                        records.append(("ok", n, extra, solvable, seed, inst.triples))
+                    except ValueError as exc:
+                        records.append(("err", n, extra, solvable, seed, str(exc)))
+    assert sum(r[0] == "ok" for r in records) == 390
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == GEN_3DM_SWEEP_SHA256
 
 
 def test_gen_3dm_validation():

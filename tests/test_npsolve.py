@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -13,6 +15,7 @@ from starcut import (
     complete,
     cycle,
     element_occurrences,
+    gen_random_3dm,
     gen_random_graph,
     is_vertex_cover,
     path,
@@ -40,10 +43,10 @@ def test_element_occurrences_flat_layout():
 
 def test_validate_structural_and_restricted():
     one = ThreeDMInstance(1, ((1, 1, 1),))
-    assert validate_3dm(one, enforce_restriction=False)
-    assert not validate_3dm(one, enforce_restriction=True)
+    assert not validate_3dm(one)
     balanced = ThreeDMInstance(2, ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)))
-    assert validate_3dm(balanced, enforce_restriction=True)
+    assert validate_3dm(balanced)
+    # every occurrence count is 2, so only the distinctness check rejects it
     dup = ThreeDMInstance(1, ((1, 1, 1), (1, 1, 1)))
     assert not validate_3dm(dup)
 
@@ -75,6 +78,43 @@ def test_solve_3dm_handles_duplicates():
     inst = ThreeDMInstance(1, ((1, 1, 1), (1, 1, 1)))
     got = solve_3dm(inst)
     assert got is not None and verify_matching(inst, got)
+
+
+# sha256 of repr([solve_3dm(i) for i in _pinned_3dm_instances()]).  `oracle
+# 3dm` prints the matching, so which one is returned must not drift.
+SOLVE_3DM_SHA256 = "8048481f9a98c187c2aa32dfb8aa355f882cbb20f6ba21cb3c325238b2131cbc"
+
+
+def _pinned_3dm_instances():
+    insts = []
+    for n in range(1, 6):
+        for extra in range(4):
+            for solvable in (True, False):
+                for seed in range(10):
+                    try:
+                        insts.append(gen_random_3dm(n, extra, solvable, seed))
+                    except ValueError:
+                        pass
+    # unrestricted lists, about half of them with a repeated triple
+    for seed in range(1800):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        t = rng.randint(0, 3 * n)
+        triples = [
+            (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n)) for _ in range(t)
+        ]
+        if triples and rng.random() < 0.5:
+            triples.append(triples[rng.randrange(len(triples))])
+        insts.append(ThreeDMInstance(n, tuple(triples)))
+    return insts
+
+
+def test_solve_3dm_returns_the_pinned_matchings():
+    insts = _pinned_3dm_instances()
+    assert len(insts) == 2120
+    found = [solve_3dm(inst) for inst in insts]
+    assert sum(f is not None for f in found) == 663
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == SOLVE_3DM_SHA256
 
 
 def _matching_by_enumeration(inst):

@@ -59,12 +59,10 @@ def test_role_validation():
 
 
 def test_reduce_3dm_rejects_small_m():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 5"):
         reduce_3dm(ONE, 4, allow_unrestricted=True)
-    red = reduce_3dm(ONE, 4, allow_small_m=True, allow_unrestricted=True)
-    assert red.graph.n == 1 + 3 + 5 * 1 + 24
-    with pytest.raises(ValueError):
-        reduce_3dm(ONE, 3, allow_small_m=True, allow_unrestricted=True)
+    with pytest.raises(ValueError, match="at least 5"):
+        reduce_3dm(ONE, 3, allow_unrestricted=True)
 
 
 def test_reduce_3dm_restriction_gate():
@@ -109,11 +107,6 @@ def test_gadget_size_formula_tracks_t_and_m():
         want = reps + 3 + (m - 3) * (m + 1) * reps + 6 * m
         assert red.graph.n == want
         audit_reduced_3dm(red)
-
-
-def test_audit_restricted_degrees_flag():
-    red = reduce_3dm(BALANCED, 5)
-    audit_reduced_3dm(red, restricted_degrees=True)
 
 
 def test_matching_encode_decode_roundtrip():
@@ -223,10 +216,8 @@ def test_audit_vc_rejects_crossed_taps():
         audit_reduced_vc(crossed)
 
 
-def test_reduce_vc_m_override():
-    reduce_vertex_cover(VertexCoverInstance(path(3), 1), 2)
-    with pytest.raises(ValueError):
-        reduce_vertex_cover(VertexCoverInstance(path(3), 1), 3)
+def test_reduce_vc_m_is_the_max_degree():
+    assert reduce_vertex_cover(VertexCoverInstance(path(3), 1)).m == 2
 
 
 def test_cover_encode_decode_roundtrip():
