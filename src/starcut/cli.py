@@ -25,7 +25,6 @@ from .generate import gen_random_3dm, gen_random_graph
 from .npsolve import VertexCoverInstance, solve_3dm, solve_vertex_cover
 from .reduce import extract_cover, extract_matching, reduce_3dm, reduce_vertex_cover
 from .solver import (
-    ORACLE_SIZE_CAP,
     SearchOptions,
     oracle_connectivity,
     structure_connectivity,
@@ -77,12 +76,6 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     g = parse_graph(_read(args.graph))
     family = parse_cut(_read(args.cut))
-    for star in family.elements:
-        for v in star.vertices():
-            if v >= g.n:
-                raise ValueError(
-                    f"cut references vertex {v + 1} but the graph has {g.n} vertices"
-                )
     check = is_structure_cut if family.kind == STRUCTURE else is_substructure_cut
     ok = check(
         g, family, family.m, strict_trivial=args.strict_trivial, induced=args.induced
@@ -150,7 +143,6 @@ def _cmd_oracle_kappa(args) -> int:
         args.tmax,
         strict_trivial=args.strict_trivial,
         induced=args.induced,
-        size_cap=args.size_cap,
     )
     return _print_result(kind, args.M, res)
 
@@ -281,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--M", type=int, required=True)
     q.add_argument("--sub", action="store_true")
     q.add_argument("--tmax", type=int, required=True)
-    q.add_argument("--size-cap", type=int, default=ORACLE_SIZE_CAP,
-                   help=f"largest removal set to enumerate (default {ORACLE_SIZE_CAP})")
     _add_cut_flags(q)
     q.set_defaults(func=_cmd_oracle_kappa)
 

@@ -18,7 +18,7 @@ Two conventions are configurable everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graph import Graph, mask_connected
 
@@ -62,19 +62,6 @@ def canonical_star(center: int, leaves: Iterable[int]) -> Star:
     if len(ls) == 1 and ls[0] < center:
         center, ls = ls[0], (center,)
     return Star(center, ls)
-
-
-def star_valid_in(g: Graph, s: Star) -> bool:
-    """True iff every leaf is adjacent to the center in g."""
-    if s.center >= g.n or any(v >= g.n for v in s.leaves):
-        raise ValueError("star vertex out of range for host graph")
-    mask = g.masks[s.center]
-    return all(mask >> v & 1 for v in s.leaves)
-
-
-def star_induced_in(g: Graph, s: Star) -> bool:
-    """star_valid_in, plus pairwise non-adjacent leaves."""
-    return star_valid_in(g, s) and leaves_independent(g.masks, s.leaves)
 
 
 def leaves_independent(masks: tuple[int, ...], leaves: Iterable[int]) -> bool:
@@ -126,29 +113,6 @@ class CutFamily:
         return len(self.elements)
 
 
-def family_mask(family: CutFamily) -> int:
-    mask = 0
-    for s in family.elements:
-        mask |= 1 << s.center
-        for v in s.leaves:
-            mask |= 1 << v
-    return mask
-
-
-def _check_family(g: Graph, family: CutFamily, induced: bool) -> int:
-    """Validate the stars against g; returns the removal mask.
-
-    Malformed certificates are errors, never False: an invalid star means
-    the input is not a family at all.  CutFamily itself rejects overlapping
-    elements.
-    """
-    for s in family.elements:
-        ok = star_induced_in(g, s) if induced else star_valid_in(g, s)
-        if not ok:
-            raise ValueError(f"element {s} is not a valid star in the host graph")
-    return family_mask(family)
-
-
 def remainder_is_cut(
     g: Graph, removed_mask: int, *, strict_trivial: bool = False
 ) -> bool:
@@ -165,16 +129,39 @@ def remainder_is_cut(
     return not mask_connected(g, rest)
 
 
-def is_subgraph_cut(
+def _is_cut(
     g: Graph,
     family: CutFamily,
-    *,
-    strict_trivial: bool = False,
-    induced: bool = False,
+    fits: Callable[[int], bool],
+    strict_trivial: bool,
+    induced: bool,
 ) -> bool:
-    """True iff deleting V(F) disconnects g or leaves a trivial remainder."""
-    mask = _check_family(g, family, induced)
-    return remainder_is_cut(g, mask, strict_trivial=strict_trivial)
+    """The cut predicate behind both verifiers; `fits` takes a leaf count.
+
+    An element whose leaf count does not fit makes the family a plain
+    non-cut.  A star the host lacks is an error, never False: the input is
+    then not a family in g at all.  Vertex ids are range-checked over the
+    whole family before any edge is looked at.  CutFamily itself rejects
+    overlapping elements.
+    """
+    if not all(fits(s.leaf_count) for s in family.elements):
+        return False
+    removed = 0
+    for s in family.elements:
+        for v in s.vertices():
+            if v >= g.n:
+                raise ValueError(
+                    f"cut references vertex {v + 1} but the graph has {g.n} vertices"
+                )
+            removed |= 1 << v
+    masks = g.masks
+    for s in family.elements:
+        row = masks[s.center]
+        if not all(row >> v & 1 for v in s.leaves) or (
+            induced and not leaves_independent(masks, s.leaves)
+        ):
+            raise ValueError(f"element {s} is not a valid star in the host graph")
+    return remainder_is_cut(g, removed, strict_trivial=strict_trivial)
 
 
 def is_structure_cut(
@@ -186,9 +173,7 @@ def is_structure_cut(
     induced: bool = False,
 ) -> bool:
     """True iff family is a subgraph cut and every element is a K_{1,m}."""
-    if any(s.leaf_count != m for s in family.elements):
-        return False
-    return is_subgraph_cut(g, family, strict_trivial=strict_trivial, induced=induced)
+    return _is_cut(g, family, lambda k: k == m, strict_trivial, induced)
 
 
 def is_substructure_cut(
@@ -200,6 +185,4 @@ def is_substructure_cut(
     induced: bool = False,
 ) -> bool:
     """True iff family is a subgraph cut and every element fits inside K_{1,m}."""
-    if any(s.leaf_count > m for s in family.elements):
-        return False
-    return is_subgraph_cut(g, family, strict_trivial=strict_trivial, induced=induced)
+    return _is_cut(g, family, lambda k: k <= m, strict_trivial, induced)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .cuts import STRUCTURE, SUBSTRUCTURE, CutFamily, Star
 from .graph import Graph, build
 from .npsolve import ThreeDMInstance
-from .reduce import _TAGS_WITH_SECOND_INDEX, VertexRole
+from .reduce import VertexRole
 
 
 class ParseError(ValueError):
@@ -218,10 +218,6 @@ def parse_roles(text: str) -> tuple[VertexRole, ...]:
         tag = toks[2]
         i = _int_token(toks[3], line_no, "role index")
         j = _int_token(toks[4], line_no, "role index") if len(toks) == 5 else None
-        if (tag in _TAGS_WITH_SECOND_INDEX) != (j is not None):
-            raise ParseError(
-                line_no, f"tag {tag} takes {'two indices' if j is None else 'one index'}"
-            )
         try:
             roles.append(VertexRole(tag, i, j))
         except ValueError as exc:

@@ -50,6 +50,24 @@ def element_occurrences(inst: ThreeDMInstance) -> list[int]:
     return occ
 
 
+def _restriction_violation(inst: ThreeDMInstance) -> str | None:
+    """What first breaks the restricted variant, or None when nothing does.
+
+    Names the first repeated triple, else the first element (in slot order)
+    whose occurrence count is not 2 or 3.
+    """
+    seen: set[Triple] = set()
+    for triple in inst.triples:
+        if triple in seen:
+            return f"triple {triple} is repeated"
+        seen.add(triple)
+    for slot, count in enumerate(element_occurrences(inst)):
+        if count not in (2, 3):
+            cls, i = divmod(slot, inst.n)
+            return f"element {'RBY'[cls]}{i + 1} occurs in {count} triples, not 2 or 3"
+    return None
+
+
 def validate_3dm(inst: ThreeDMInstance) -> bool:
     """The restricted variant: triples pairwise distinct, and every element
     occurs in exactly 2 or 3 triples.
@@ -57,9 +75,7 @@ def validate_3dm(inst: ThreeDMInstance) -> bool:
     Coordinates are in range by construction.  The occurrence counts always
     sum to 3|T|, so no separate count identity needs checking.
     """
-    if len(set(inst.triples)) != len(inst.triples):
-        return False
-    return all(c in (2, 3) for c in element_occurrences(inst))
+    return _restriction_violation(inst) is None
 
 
 def verify_matching(inst: ThreeDMInstance, indices: tuple[int, ...]) -> bool:

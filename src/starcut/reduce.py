@@ -29,10 +29,10 @@ from .graph import Graph, build, is_connected
 from .npsolve import (
     ThreeDMInstance,
     VertexCoverInstance,
+    _restriction_violation,
     element_occurrences,
     element_slots,
     is_vertex_cover,
-    validate_3dm,
     verify_matching,
 )
 
@@ -62,13 +62,11 @@ class VertexRole:
     def __post_init__(self) -> None:
         if self.tag not in _ALL_TAGS:
             raise ValueError(f"unknown role tag {self.tag!r}")
-        if self.i < 1:
+        if (self.tag in _TAGS_WITH_SECOND_INDEX) != (self.j is not None):
+            arity = "one index" if self.j is not None else "two indices"
+            raise ValueError(f"tag {self.tag} takes {arity}")
+        if self.i < 1 or (self.j is not None and self.j < 1):
             raise ValueError("role indices are 1-based")
-        if self.tag in _TAGS_WITH_SECOND_INDEX:
-            if self.j is None or self.j < 1:
-                raise ValueError(f"{self.tag} roles need a positive second index")
-        elif self.j is not None:
-            raise ValueError(f"{self.tag} roles carry a single index")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +117,10 @@ def reduce_3dm(
     t = len(inst.triples)
     if t < 1:
         raise ValueError("at least one triple is required")
-    if not allow_unrestricted and not validate_3dm(inst):
+    violation = None if allow_unrestricted else _restriction_violation(inst)
+    if violation is not None:
         raise ValueError(
-            "instance violates the occurrence restriction; "
+            f"instance is not restricted: {violation}; "
             "pass allow_unrestricted to build anyway"
         )
     n = inst.n

@@ -283,10 +283,8 @@ class _Engine:
 
     # -- interior levels ---------------------------------------------------
 
-    def search(
-        self, alive: int, pmax: int, slots: int, chosen: list[Star]
-    ) -> list[Star] | None:
-        """Extend `chosen` by `slots` stars centered above pmax."""
+    def search(self, alive: int, pmax: int, slots: int) -> list[Star] | None:
+        """The least `slots` stars centered above pmax that cut `alive`."""
         self.nodes += 1
         if not self.nodes & 0xFF:
             self._check_deadline()
@@ -294,9 +292,7 @@ class _Engine:
             return None
         if slots == 1:
             star = self.last_star(alive, pmax)
-            if star is None:
-                return None
-            return chosen + [star]
+            return None if star is None else [star]
         g, m = self.g, self.m
         masks = g.masks
         for c in range(pmax + 1, g.n):
@@ -309,11 +305,9 @@ class _Engine:
             for leaves, smask in _leaf_sets(
                 masks, bits(nb), m, self.exact, self.opts.induced, c, cbit
             ):
-                got = self.search(
-                    alive & ~smask, c, slots - 1, chosen + [Star(c, leaves)]
-                )
+                got = self.search(alive & ~smask, c, slots - 1)
                 if got is not None:
-                    return got
+                    return [Star(c, leaves)] + got
         return None
 
 
@@ -353,7 +347,7 @@ def _connectivity(
     cap = min(t_max, _family_size_cap(g, m, kind))
     for t in range(1, cap + 1):
         try:
-            family = engine.search(g.full_mask, -1, t, [])
+            family = engine.search(g.full_mask, -1, t)
         except _Deadline:
             return SolveResult(None, None, t - 1, False)
         if family is None:
@@ -472,7 +466,6 @@ def oracle_connectivity(
     *,
     strict_trivial: bool = False,
     induced: bool = False,
-    size_cap: int = ORACLE_SIZE_CAP,
 ) -> SolveResult:
     """Cross-validation oracle: subset enumeration plus star partitioning.
 
@@ -480,11 +473,14 @@ def oracle_connectivity(
     disconnects g or leaves a trivial remainder and X splits into disjoint
     stars of the requested kind.  Returns the minimum star count over all
     qualifying X, as a SolveResult mirroring the solver's conventions.
+    Graphs above ORACLE_SIZE_CAP vertices are refused.
     """
     if kind not in (STRUCTURE, SUBSTRUCTURE):
         raise ValueError(f"unknown cut kind {kind!r}")
-    if g.n > size_cap:
-        raise ValueError(f"oracle refuses n={g.n} above the size cap {size_cap}")
+    if g.n > ORACLE_SIZE_CAP:
+        raise ValueError(
+            f"oracle refuses n={g.n} above the size cap {ORACLE_SIZE_CAP}"
+        )
     _validate_inputs(g, m, t_max)
     exact = kind == STRUCTURE
     memo: dict = {}

@@ -98,7 +98,15 @@ def test_verify_rejects_out_of_range_ids(files, capsys):
     g = files("p3.graph", P3)
     cut = files("big.cut", "cut structure 1 1\ns 7 8\n")
     assert run(["verify", "--graph", g, "--cut", cut]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == (
+        "error: cut references vertex 7 but the graph has 3 vertices\n"
+    )
+    # an id past the graph wins over a missing edge in an earlier star
+    cut = files("late.cut", "cut substructure 1 2\ns 1 3\ns 8\n")
+    assert run(["verify", "--graph", g, "--cut", cut]) == 2
+    assert capsys.readouterr().err == (
+        "error: cut references vertex 8 but the graph has 3 vertices\n"
+    )
 
 
 def test_reduce_3dm_writes_gadget(files, tmp_path, capsys):
@@ -169,10 +177,6 @@ def test_oracle_kappa_refuses_oversize(files, capsys):
     code = run(["oracle", "kappa", "--graph", g, "--M", "1", "--tmax", "3"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
-    code = run(["oracle", "kappa", "--graph", g, "--M", "1", "--tmax", "3",
-                "--size-cap", "16"])
-    assert code == 0
-    assert capsys.readouterr().out.splitlines()[0] == "kappa structure 1 = 2"
 
 
 def test_roundtrip_3dm_pass(files, tmp_path, capsys):
@@ -275,8 +279,8 @@ CLI_SURFACE = {
     "reduce-vc": {"--graph", "--k", "--out-prefix"},
     "oracle 3dm": {"--in"},
     "oracle vc": {"--graph", "--k"},
-    "oracle kappa": {"--graph", "--M", "--sub", "--tmax", "--size-cap",
-                     "--strict-trivial", "--induced"},
+    "oracle kappa": {"--graph", "--M", "--sub", "--tmax", "--strict-trivial",
+                     "--induced"},
     "roundtrip 3dm": {"--in", "--M", "--allow-unrestricted", "--out-prefix"}
     | _SOLVER_FLAGS,
     "roundtrip vc": {"--graph", "--k", "--out-prefix"} | _SOLVER_FLAGS,
@@ -311,6 +315,8 @@ def test_cli_surface_is_pinned(files):
         ["roundtrip", "3dm", "--in", inst, "--allow-small-m"],
         ["reduce-vc", "--graph", g, "--k", "1", "--M", "2", "--out-prefix", "x"],
         ["roundtrip", "vc", "--graph", g, "--k", "1", "--M", "2"],
+        ["oracle", "kappa", "--graph", g, "--M", "1", "--tmax", "3",
+         "--size-cap", "16"],
     ):
         with pytest.raises(SystemExit) as ei:
             run(argv)

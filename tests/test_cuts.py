@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
+from helpers import connected_corpus
 from starcut import (
     STRUCTURE,
     SUBSTRUCTURE,
@@ -11,14 +15,10 @@ from starcut import (
     canonical_star,
     complete,
     cycle,
-    family_mask,
     is_structure_cut,
-    is_subgraph_cut,
     is_substructure_cut,
     path,
     remainder_is_cut,
-    star_induced_in,
-    star_valid_in,
 )
 
 BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -49,20 +49,30 @@ def test_canonical_star_flips_single_edge():
     assert canonical_star(4, ()) == Star(4, ())
 
 
-def test_star_valid_in_checks_center_leaf_edges():
+def _sub_cut(g, *stars, **kw):
+    """is_substructure_cut on the family of `stars` at its own leaf bound."""
+    fam = CutFamily(SUBSTRUCTURE, max(s.leaf_count for s in stars), stars)
+    return is_substructure_cut(g, fam, fam.m, **kw)
+
+
+def test_verifier_checks_center_leaf_edges():
     g = path(3)
-    assert star_valid_in(g, Star(1, (0, 2)))
-    assert not star_valid_in(g, Star(0, (2,)))
-    assert star_valid_in(g, Star(2, ()))
-    with pytest.raises(ValueError):
-        star_valid_in(g, Star(9, ()))
+    assert _sub_cut(g, Star(1, (0, 2)))
+    with pytest.raises(ValueError, match="not a valid star"):
+        _sub_cut(g, Star(0, (2,)))
+    assert not _sub_cut(g, Star(2, ()))
+    with pytest.raises(
+        ValueError, match="cut references vertex 10 but the graph has 3 vertices"
+    ):
+        _sub_cut(g, Star(9, ()))
 
 
 def test_induced_star_rejects_adjacent_leaves():
     t = cycle(3)
-    assert star_valid_in(t, Star(0, (1, 2)))
-    assert not star_induced_in(t, Star(0, (1, 2)))
-    assert star_induced_in(path(3), Star(1, (0, 2)))
+    assert _sub_cut(t, Star(0, (1, 2)))
+    with pytest.raises(ValueError, match="not a valid star"):
+        _sub_cut(t, Star(0, (1, 2)), induced=True)
+    assert _sub_cut(path(3), Star(1, (0, 2)), induced=True)
 
 
 def test_family_kind_bounds():
@@ -79,9 +89,13 @@ def test_family_requires_disjoint_elements():
         CutFamily(SUBSTRUCTURE, 2, (Star(0, (1,)), Star(1, (2,))))
 
 
-def test_family_mask():
+def test_verifier_removes_every_star_vertex():
+    # The family removes {0, 2, 4}; only the edge 1-3 joins what is left.
     fam = CutFamily(SUBSTRUCTURE, 2, (Star(0, (2,)), Star(4, ())))
-    assert family_mask(fam) == 0b10101
+    linked = build(5, [(0, 1), (0, 2), (1, 3), (3, 4)])
+    apart = build(5, [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)])
+    assert not is_substructure_cut(linked, fam, fam.m)
+    assert is_substructure_cut(apart, fam, fam.m)
 
 
 def test_remainder_is_cut_conventions():
@@ -95,30 +109,30 @@ def test_remainder_is_cut_conventions():
 def test_subgraph_cut_on_path_middle():
     g = path(3)
     fam = CutFamily(SUBSTRUCTURE, 1, (Star(1, ()),))
-    assert is_subgraph_cut(g, fam)
-    assert is_subgraph_cut(g, fam, strict_trivial=True)
+    assert is_substructure_cut(g, fam, fam.m)
+    assert is_substructure_cut(g, fam, fam.m, strict_trivial=True)
 
 
 def test_subgraph_cut_trivial_remainder():
     g = complete(4)
     fam = CutFamily(SUBSTRUCTURE, 2, (Star(0, (1, 2)),))
     # one survivor: trivial under both conventions
-    assert is_subgraph_cut(g, fam)
-    assert is_subgraph_cut(g, fam, strict_trivial=True)
+    assert is_substructure_cut(g, fam, fam.m)
+    assert is_substructure_cut(g, fam, fam.m, strict_trivial=True)
 
 
 def test_subgraph_cut_empty_remainder_depends_on_convention():
     g = cycle(6)
     fam = CutFamily(STRUCTURE, 2, (Star(0, (1, 5)), Star(3, (2, 4))))
-    assert is_subgraph_cut(g, fam)
-    assert not is_subgraph_cut(g, fam, strict_trivial=True)
+    assert is_substructure_cut(g, fam, fam.m)
+    assert not is_substructure_cut(g, fam, fam.m, strict_trivial=True)
 
 
 def test_invalid_star_is_an_error_not_false():
     g = path(4)
     fam = CutFamily(SUBSTRUCTURE, 1, (Star(0, (2,)),))
     with pytest.raises(ValueError):
-        is_subgraph_cut(g, fam)
+        is_substructure_cut(g, fam, fam.m)
 
 
 def test_overlapping_family_cannot_be_built():
@@ -144,12 +158,73 @@ def test_substructure_cut_rejects_oversized_elements():
 def test_induced_flag_threads_through_verifier():
     g = complete(4)
     fam = CutFamily(SUBSTRUCTURE, 2, (Star(0, (1, 2)),))
-    assert is_subgraph_cut(g, fam)
+    assert is_substructure_cut(g, fam, fam.m)
     with pytest.raises(ValueError):
-        is_subgraph_cut(g, fam, induced=True)
+        is_substructure_cut(g, fam, fam.m, induced=True)
 
 
 def test_induced_cut_accepts_independent_leaves():
     g = cycle(5)
     fam = CutFamily(SUBSTRUCTURE, 2, (Star(0, (1,)), Star(3, (2, 4))))
     assert is_substructure_cut(g, fam, 2, induced=True)
+
+
+# sha256 of repr(verdicts) below, where a verdict is True, False or
+# "ValueError".  Recorded before the verifiers were merged into one; the
+# families include wrong leaf counts, non-edges, adjacent leaves and ids
+# past the last vertex, so every branch of the check is pinned.
+VERIFIER_VERDICTS_SHA256 = (
+    "c827f92f2088610a1ed1a3afffc91ceaed8e5cc91e8f968bd4a2afde8aaccebb"
+)
+
+
+def _random_family(g, rng):
+    """Up to three disjoint stars on ids 0..n+1, mostly along g's edges."""
+    kind = rng.choice((STRUCTURE, SUBSTRUCTURE))
+    m = rng.randint(0, 3)
+    free = set(range(g.n + 2))
+    stars = []
+    for _ in range(rng.randint(1, 3)):
+        in_range = free & set(range(g.n))
+        centers = sorted(free if rng.random() < 0.15 else in_range)
+        if not centers:
+            break
+        c = rng.choice(centers)
+        free.discard(c)
+        k = m if kind == STRUCTURE else rng.randint(0, m)
+        near = [v for v in sorted(free) if c < g.n and g.masks[c] >> v & 1]
+        pool = near if len(near) >= k and rng.random() < 0.8 else sorted(free)
+        if len(pool) < k:
+            break
+        leaves = tuple(sorted(rng.sample(pool, k)))
+        free.difference_update(leaves)
+        stars.append(Star(c, leaves))
+    return CutFamily(kind, m, tuple(stars))
+
+
+def _verdict(check, g, fam, m, strict, induced):
+    try:
+        return check(g, fam, m, strict_trivial=strict, induced=induced)
+    except ValueError:
+        return "ValueError"
+
+
+def test_verifier_verdicts_are_pinned():
+    verdicts = []
+    for g, _, _, seed in connected_corpus(60, max_n=9):
+        rng = random.Random(seed)
+        for _ in range(20):
+            fam = _random_family(g, rng)
+            for check in (is_structure_cut, is_substructure_cut):
+                for m in (fam.m - 1, fam.m, fam.m + 1):
+                    for strict in (False, True):
+                        for induced in (False, True):
+                            verdicts.append(
+                                _verdict(check, g, fam, m, strict, induced)
+                            )
+    assert len(verdicts) == 28800
+    assert [verdicts.count(v) for v in (True, False, "ValueError")] == [
+        1852, 21034, 5914
+    ]
+    digest = hashlib.sha256(repr(verdicts).encode()).hexdigest()
+    assert digest == VERIFIER_VERDICTS_SHA256

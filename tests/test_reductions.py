@@ -72,6 +72,23 @@ def test_reduce_3dm_restriction_gate():
     reduce_3dm(BALANCED, 5)  # restricted instance passes without the flag
 
 
+@pytest.mark.parametrize(
+    "inst,reason",
+    [
+        # every occurrence count is 3, which is allowed
+        (ThreeDMInstance(1, ((1, 1, 1),) * 3), r"triple \(1, 1, 1\) is repeated"),
+        (ONE, "element R1 occurs in 1 triples, not 2 or 3"),
+        (
+            ThreeDMInstance(2, ((1, 1, 1), (1, 2, 2), (1, 1, 2), (1, 2, 1))),
+            "element R1 occurs in 4 triples, not 2 or 3",
+        ),
+    ],
+)
+def test_reduce_3dm_names_what_breaks_the_restriction(inst, reason):
+    with pytest.raises(ValueError, match=reason):
+        reduce_3dm(inst)
+
+
 def test_gadget_layout_n1():
     red = reduce_3dm(ONE, 5, allow_unrestricted=True)
     g = red.graph

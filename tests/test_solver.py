@@ -478,10 +478,8 @@ def test_min_star_partition_induced():
 
 def test_oracle_refuses_oversize_graphs():
     g = cycle(16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="above the size cap 14"):
         oracle_connectivity(g, 1, STRUCTURE, 4)
-    res = oracle_connectivity(g, 1, STRUCTURE, 4, size_cap=16)
-    assert res.value == 2
 
 
 @settings(deadline=None, max_examples=60)
