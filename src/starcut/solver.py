@@ -18,7 +18,10 @@ certificates.  The minimum-degree bound rules out a subtree whose alive set
 has no vertex of low enough degree to sit in the smallest remaining
 component; the hopeless-center rule (below) settles a last-level center
 without trying its leaf sets; memo_tau remembers, per alive set, the
-centers already ruled out at the last level.
+centers already ruled out at the last level.  The rule's test that Z is
+connected is shared between sibling leaf sets (the sibling lemma below); the
+shared test only proves what the rule's own BFS would find, so it changes
+no verdict, value or certificate.
 
 Complete graphs need no rule of their own.  The last star is placed only
 after the degree bound ran with one slot, and an alive clique on s >= m+3
@@ -43,6 +46,14 @@ proves Z connected stops once it has reached the ring R = Z ∩ N(N(c)):
   path in G[alive] from z to c, the vertex just before the first one in
   N[c] lies in R, and the path up to it stays in Z.  So Z is connected iff
   R lies in one component of G[Z].
+- Sibling lemma: at size t >= 2 every last star sits in a slots == 2 frame,
+  alive set P with a first star at c1 whose leaves L1 lie in N_P(c1).  For a
+  later center c, Z(L1) = Zmin + (attach - L1) with Zmin = P - N_P[c1] -
+  N[c] and attach = N_P(c1) - N[c].  If G[Zmin] is nonempty and connected and
+  every attach vertex has a neighbor in Zmin, then Z(L1) is connected for
+  every sibling L1.  One test per (c1, c), made the first time a sibling
+  reaches it, then stands in for the ring BFS of all of them; when it fails,
+  and at size 1, which has no such frame, the ring BFS runs as before.
 
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
@@ -85,8 +96,9 @@ class SearchOptions:
     becomes an incomplete result.
 
     No option switches pruning: the degree bound, the hopeless-center rule
-    and the per-alive-set memo never change values or certificates, only
-    speed, so they always run.
+    (with its Z test shared between sibling leaf sets) and the per-alive-set
+    memo never change values or certificates, only speed, so they always
+    run.
     """
 
     strict_trivial: bool = False
@@ -165,7 +177,7 @@ def _leaf_sets(
 
 
 class _Engine:
-    """The search state shared by every family size: memo tables and deadline."""
+    """The search state: memo tables, deadline and the current sibling frame."""
 
     def __init__(self, g: Graph, m: int, kind: str, opts: SearchOptions):
         self.g = g
@@ -177,6 +189,13 @@ class _Engine:
         self.memo_tau: dict[int, int] = {}
         self.nodes = 0
         self.deadline: float | None = None
+        # The current slots == 2 frame, P alive with a first star at c1:
+        # (P - N_P[c1], N_P(c1)), or None when no such frame holds (t = 1).
+        # joined / split mark the later centers whose shared Z test
+        # (_siblings_joined) passed / failed under this c1.
+        self.frame: tuple[int, int] | None = None
+        self.joined = 0
+        self.split = 0
 
     # -- prune predicates ------------------------------------------------
 
@@ -214,6 +233,9 @@ class _Engine:
         # G[alive] is connected (module docstring), so every component of
         # G[Z] meets the ring Z ∩ N(N(c)), and Z is connected iff the ring
         # lies in one component: the BFS stops once it has reached the ring.
+        # Before it, the sibling lemma (module docstring) may already prove
+        # Z connected for every leaf set of the first star at c1; that skips
+        # the BFS and returns the True the BFS would return.
         z = alive & ~nb & ~(1 << c)
         if not z:
             return False
@@ -241,7 +263,38 @@ class _Engine:
             off ^= bit
             if (masks[bit.bit_length() - 1] & touch).bit_count() <= m:
                 return False
-        return mask_reaches(self.g, z, ring & z)
+        return self._siblings_joined(c) or mask_reaches(self.g, z, ring & z)
+
+    def _open_frame(self, alive: int, c1: int) -> None:
+        """Enter a slots == 2 frame: every last star now sees alive minus a star at c1."""
+        nb = self.g.masks[c1] & alive
+        self.frame = (alive & ~nb & ~(1 << c1), nb)
+        self.joined = self.split = 0
+
+    def _siblings_joined(self, c: int) -> bool:
+        # The sibling lemma (module docstring), tested once per (c1, c): True
+        # proves Z connected for every leaf set of the first star at c1.
+        # False means only "unknown": the caller runs its ring BFS.
+        cbit = 1 << c
+        if self.joined & cbit:
+            return True
+        if self.split & cbit or self.frame is None:
+            return False
+        rest, attach = self.frame
+        masks = self.g.masks
+        outside = ~(masks[c] | cbit)
+        zmin = rest & outside
+        attach &= outside
+        ok = bool(zmin)
+        while ok and attach:
+            bit = attach & -attach
+            attach ^= bit
+            ok = bool(masks[bit.bit_length() - 1] & zmin)
+        if ok and mask_connected(self.g, zmin):
+            self.joined |= cbit
+            return True
+        self.split |= cbit
+        return False
 
     # -- last level: place one final star ---------------------------------
 
@@ -302,6 +355,8 @@ class _Engine:
             nb = masks[c] & alive
             if self.exact and nb.bit_count() < m:
                 continue
+            if slots == 2:
+                self._open_frame(alive, c)
             for leaves, smask in _leaf_sets(
                 masks, bits(nb), m, self.exact, self.opts.induced, c, cbit
             ):
@@ -346,6 +401,7 @@ def _connectivity(
         engine.deadline = time.monotonic() + opts.time_limit
     cap = min(t_max, _family_size_cap(g, m, kind))
     for t in range(1, cap + 1):
+        engine.frame = None
         try:
             family = engine.search(g.full_mask, -1, t)
         except _Deadline:

@@ -1,6 +1,6 @@
 """Shared test utilities: a brute-force vertex connectivity reference,
 seeded graph corpora, exhaustive small-graph enumeration, and a switch that
-turns the solver's pruning rules off."""
+turns the solver's pruning rules and its shared sibling test off."""
 
 from __future__ import annotations
 
@@ -14,6 +14,11 @@ from starcut.solver import _Engine
 # The solver's prune predicates; each returns True to rule a subtree or a
 # center out, so patching it to return False switches that rule off.
 PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless")
+
+# The hopeless-center rule's shared Z test, one per pair of centers, which
+# answers for every sibling leaf set.  Its False means "unknown", so patching
+# it off through pruning_off sends every call to the ring BFS.
+SIBLING_TEST = "_siblings_joined"
 
 
 @contextmanager

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PRUNE_RULES, connected_corpus, pruning_off
+from helpers import PRUNE_RULES, SIBLING_TEST, connected_corpus, pruning_off
 from starcut import (
     STRUCTURE,
     SUBSTRUCTURE,
@@ -25,6 +25,7 @@ from starcut import (
     path,
     reduce_3dm,
     remainder_is_cut,
+    solver,
     star,
     structure_connectivity,
     substructure_connectivity,
@@ -388,13 +389,116 @@ def test_last_star_sees_a_connected_alive_set(monkeypatch):
     assert calls > 1000
 
 
+# -- the shared sibling test ----------------------------------------------------
+
+
+def _tally(monkeypatch, owner, name):
+    """Patch owner.name to count its calls and its True answers."""
+    tally = {"calls": 0, "true": 0}
+    fn = getattr(owner, name)
+
+    def counting(*args):
+        got = fn(*args)
+        tally["calls"] += 1
+        tally["true"] += got is True
+        return got
+
+    monkeypatch.setattr(owner, name, counting)
+    return tally
+
+
+def test_sibling_test_changes_no_result(monkeypatch):
+    # Each True answer is a ring BFS the shared test skipped.
+    shared = _tally(monkeypatch, _Engine, SIBLING_TEST)
+
+    def same(g, m, kind, t_max, opts):
+        fn = structure_connectivity if kind == STRUCTURE else substructure_connectivity
+        on = fn(g, m, t_max, opts)
+        with pruning_off(SIBLING_TEST):
+            off = fn(g, m, t_max, opts)
+        assert on == off, (tuple(g.edges()), m, kind, opts)
+
+    variants = (SearchOptions(), SearchOptions(strict_trivial=True), SearchOptions(induced=True))
+    for g, *_ in connected_corpus(60, max_n=11, seed0=0):
+        for m in range(4):
+            for kind in (STRUCTURE, SUBSTRUCTURE):
+                for opts in variants:
+                    same(g, m, kind, g.n, opts)
+    for d in (4, 5):
+        for m in (1, 2, 3):
+            for kind in (STRUCTURE, SUBSTRUCTURE):
+                same(hypercube(d), m, kind, d - 1 if m == 1 else -(-d // 2), SearchOptions())
+    for seed in (0, 1):
+        red = reduce_3dm(gen_random_3dm(3, 4, True, seed), 5, allow_unrestricted=True)
+        same(red.graph, red.m, STRUCTURE, 2, SearchOptions())
+    assert shared["true"] > 1000
+
+
+def _sibling_verdict(monkeypatch, n, edges, c1, leaves, c):
+    """(hopeless verdict, ring BFS runs) at center c under a first star at c1.
+
+    Opens the slots == 2 frame that the search opens for c1 on the whole
+    vertex set, then asks the rule about c with the star removed (M = 1).
+    """
+    bfs = _tally(monkeypatch, solver, "mask_reaches")
+    g = build(n, edges)
+    engine = _Engine(g, 1, STRUCTURE, SearchOptions())
+    engine._open_frame(g.full_mask, c1)
+    alive = g.full_mask & ~(1 << c1)
+    for leaf in leaves:
+        alive &= ~(1 << leaf)
+    nb = g.masks[c] & alive
+    return engine._center_hopeless(c, nb, nb.bit_count(), alive), bfs["calls"]
+
+
+# First star at 0 with leaves among {1, 2}; the later center is 3, whose
+# neighbors 4 and 7 reach Zmin = {5, 6} through 4-5 and 7-6.
+_TWO_SIDED = [(0, 1), (0, 2), (3, 4), (3, 7), (4, 5), (7, 6), (2, 5), (2, 6)]
+
+
+@pytest.mark.parametrize(
+    "n,edges,leaves,want",
+    [
+        # Zmin = {5, 6} is disconnected, but Z = {2, 5, 6} is connected.
+        (8, _TWO_SIDED + [(1, 5)], (1,), True),
+        # Zmin is connected, but attach vertex 1 sees only 0 and 4.
+        (8, _TWO_SIDED + [(1, 4), (5, 6)], (2,), False),
+        (8, _TWO_SIDED + [(1, 4), (5, 6)], (1,), True),
+        # Zmin is empty: N[0] and N[3] cover all six vertices.
+        (6, [(0, 1), (0, 2), (3, 4), (3, 5), (1, 4), (2, 4), (2, 5)], (1,), True),
+    ],
+    ids=["zmin_split", "attach_misses_zmin", "attach_misses_zmin_connected_z", "zmin_empty"],
+)
+def test_sibling_test_falls_back_to_the_ring_bfs(monkeypatch, n, edges, leaves, want):
+    hopeless, runs = _sibling_verdict(monkeypatch, n, edges, 0, leaves, 3)
+    assert (hopeless, runs) == (want, 1)
+    with pruning_off(SIBLING_TEST):
+        assert _sibling_verdict(monkeypatch, n, edges, 0, leaves, 3) == (want, 1)
+
+
+def test_sibling_test_skips_the_bfs_for_every_sibling(monkeypatch):
+    # Zmin = {5, 6} is connected and both attach vertices touch it.
+    edges = _TWO_SIDED + [(1, 5), (5, 6)]
+    for leaves in ((1,), (2,)):
+        assert _sibling_verdict(monkeypatch, 8, edges, 0, leaves, 3) == (True, 0)
+
+
+def test_sibling_test_is_unknown_without_a_frame(monkeypatch):
+    # Size 1 has no slots == 2 frame, so every Z goes through the ring BFS.
+    bfs = _tally(monkeypatch, solver, "mask_reaches")
+    shared = _tally(monkeypatch, _Engine, SIBLING_TEST)
+    res = structure_connectivity(hypercube(4), 1, 1)
+    assert (res.value, res.bound, res.complete) == (None, 1, True)
+    assert bfs["calls"] == shared["calls"] > 0 and shared["true"] == 0
+
+
 # Lin, Zhang, Fan, Wang (TCS 634, 2016): kappa(Q_d; K_{1,1}) = d - 1 and
 # kappa(Q_d; K_{1,M}) = ceil(d/2) for M = 2, 3, for structure and
 # substructure alike.
 @pytest.mark.parametrize(
     "d,m,kind",
     [(d, m, k) for d in (3, 4, 5) for m in (1, 2, 3) for k in (STRUCTURE, SUBSTRUCTURE)]
-    + [(6, 2, STRUCTURE)],
+    + [(6, 2, STRUCTURE), (6, 3, STRUCTURE), (6, 2, SUBSTRUCTURE), (6, 3, SUBSTRUCTURE)],
 )
 def test_hypercube_closed_forms(d, m, kind):
     want = d - 1 if m == 1 else -(-d // 2)
