@@ -64,6 +64,12 @@ def _print_result(kind: str, m: int, res) -> int:
     return EXIT_NO if res.complete else EXIT_INCONCLUSIVE
 
 
+def _print_ids(word: str, ids) -> None:
+    """Print `word` then the 1-based ids, or `word none` when ids is None."""
+    text = "none" if ids is None else " ".join(str(i + 1) for i in ids)
+    print(f"{word} {text}")
+
+
 def _cmd_solve(args) -> int:
     g = parse_graph(_read(args.graph))
     if args.sub:
@@ -116,21 +122,15 @@ def _cmd_reduce(args) -> int:
 def _cmd_oracle_3dm(args) -> int:
     inst = parse_3dm(_read(args.infile))
     found = solve_3dm(inst)
-    if found is None:
-        print("matching none")
-        return EXIT_NO
-    print("matching " + " ".join(str(i + 1) for i in found))
-    return EXIT_YES
+    _print_ids("matching", found)
+    return EXIT_NO if found is None else EXIT_YES
 
 
 def _cmd_oracle_vc(args) -> int:
     g = parse_graph(_read(args.graph))
     found = solve_vertex_cover(VertexCoverInstance(g, args.k))
-    if found is None:
-        print("cover none")
-        return EXIT_NO
-    print("cover " + " ".join(str(v + 1) for v in found))
-    return EXIT_YES
+    _print_ids("cover", found)
+    return EXIT_NO if found is None else EXIT_YES
 
 
 def _cmd_oracle_kappa(args) -> int:
@@ -173,16 +173,13 @@ def _report(source_yes: bool, gadget: str, out_prefix, red) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    opts = _options(args)
     red, solve_source, solve_gadget, decode = args.gadget(args)
     source = solve_source(red.source)
     # red.parameter is the decision bound: ground-set size or cover budget
-    res = solve_gadget(red.graph, red.m, red.parameter, _options(args))
+    res = solve_gadget(red.graph, red.m, red.parameter, opts)
     if res.certificate is not None:
-        decoded = decode(red, res.certificate)
-        if decoded is None:
-            print("decode none")
-        else:
-            print("decode " + " ".join(str(i + 1) for i in decoded))
+        _print_ids("decode", decode(red, res.certificate))
     return _report(source is not None, _gadget_decision(res), args.out_prefix, red)
 
 

@@ -120,10 +120,7 @@ def mask_reaches(g: Graph, mask: int, target: int) -> bool:
 
     `target` must lie inside `mask`; an empty target is trivially joined.
     The BFS starts at the lowest target vertex and stops at the first round
-    that has reached all of `target`.  The solver's hopeless-center rule
-    relies on this lemma: if G[alive] is connected, every component of
-    Z = alive - N[c] meets the ring Z ∩ N(N(c)), so Z is connected iff
-    mask_reaches(g, Z, ring).
+    that has reached all of `target`.
     """
     if not target:
         return True

@@ -10,7 +10,8 @@ pass per size.  Families are sets, so each one is enumerated exactly once by
 requiring strictly increasing center ids.  Centers and leaves are tried in
 increasing id order, so the first family a pass finds is the
 lexicographically least one and serves directly as the certificate.  The
-caller's time_limit bounds the whole call.
+caller's time_limit bounds the whole call: the deadline is polled at every
+search node, every last-level center and every last-level leaf set.
 
 Two pruning rules and a memo cut the search; each stays because switching
 it off was measured to slow the benchmark down, and none changes values or
@@ -26,12 +27,7 @@ no verdict, value or certificate.
 Complete graphs need no rule of their own.  The last star is placed only
 after the degree bound ran with one slot, and an alive clique on s >= m+3
 vertices has every degree s-1 with 2(s-1) > s+m-1, so the bound fires
-first (a separate clique test returned True 0 times in 187 / 16093 / 19493
-calls in one pass of the gadget / corpus / hypercube workloads).  A
-dominating-core rule, which ruled out an alive set around a connected core
-no later star can touch, fired only 0 / 649 / 689 times in 240 / 23205 /
-21900 calls once the hopeless-center rule covered its cases, and deleting
-it left every workload's wall time within its run-to-run spread.
+first.
 
 A center c is hopeless when Z, the alive set outside N[c], is connected, the
 remainder keeps >= 2 vertices, and every alive neighbor of c either touches
@@ -42,10 +38,10 @@ proves Z connected stops once it has reached the ring R = Z ∩ N(N(c)):
   run 1, 2, ... and stop at the first that cuts, so at size t every
   (t-1)-family, the chosen prefix included, was ruled out and leaves a
   connected remainder; at size 1 alive is the whole, connected, input.
-- Lemma: if G[alive] is connected, every component of G[Z] meets R.  On a
-  path in G[alive] from z to c, the vertex just before the first one in
-  N[c] lies in R, and the path up to it stays in Z.  So Z is connected iff
-  R lies in one component of G[Z].
+- Ring lemma: if G[alive] is connected, every component of G[Z] meets R.
+  On a path in G[alive] from z to c, the vertex just before the first one
+  in N[c] lies in R, and the path up to it stays in Z.  So Z is connected
+  iff R lies in one component of G[Z].
 - Sibling lemma: at size t >= 2 every last star sits in a slots == 2 frame,
   alive set P with a first star at c1 whose leaves L1 lie in N_P(c1).  For a
   later center c, Z(L1) = Zmin + (attach - L1) with Zmin = P - N_P[c1] -
@@ -93,7 +89,8 @@ class SearchOptions:
     induced additionally requires star leaves to be pairwise non-adjacent
     (a diagnostic mode; the default validity check is center-leaf edges
     only).  time_limit (seconds) bounds the whole call: a search it stops
-    becomes an incomplete result.
+    becomes an incomplete result.  It must be None or >= 0; inf means no
+    limit, and a negative or NaN limit raises ValueError.
 
     No option switches pruning: the degree bound, the hopeless-center rule
     (with its Z test shared between sibling leaf sets) and the per-alive-set
@@ -104,6 +101,12 @@ class SearchOptions:
     strict_trivial: bool = False
     induced: bool = False
     time_limit: float | None = None
+
+    def __post_init__(self) -> None:
+        # `not >= 0` also catches NaN, which no clock reading ever exceeds.
+        limit = self.time_limit
+        if limit is not None and not limit >= 0:
+            raise ValueError(f"time_limit must be None or >= 0 seconds, got {limit}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,54 +131,6 @@ class _Deadline(Exception):
     pass
 
 
-def _leaf_sets(
-    masks: tuple[int, ...],
-    cands: list[int],
-    m: int,
-    exact: bool,
-    induced: bool,
-    center: int,
-    cmask: int,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (leaves, star mask) for stars at `center`, lexicographically.
-
-    cands must be the sorted candidate leaves (alive neighbors of center).
-    Single-leaf stars whose leaf precedes the center are suppressed: the
-    flipped orientation is canonical and is produced at the other center.
-    """
-    if exact:
-        if len(cands) < m:
-            return
-        for combo in combinations(cands, m):
-            if m == 1 and combo[0] < center:
-                continue
-            if induced and not leaves_independent(masks, combo):
-                continue
-            smask = cmask
-            for leaf in combo:
-                smask |= 1 << leaf
-            yield combo, smask
-        return
-
-    prefix: list[int] = []
-
-    def grow(start: int, pmask: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if len(prefix) != 1 or prefix[0] > center:
-            yield tuple(prefix), cmask | pmask
-        if len(prefix) == m:
-            return
-        for i in range(start, len(cands)):
-            leaf = cands[i]
-            lbit = 1 << leaf
-            if induced and pmask & masks[leaf]:
-                continue
-            prefix.append(leaf)
-            yield from grow(i + 1, pmask | lbit)
-            prefix.pop()
-
-    yield from grow(0, 0)
-
-
 class _Engine:
     """The search state: memo tables, deadline and the current sibling frame."""
 
@@ -187,7 +142,6 @@ class _Engine:
         # memo_tau[alive]: proven "no single cutting star centered above this
         # threshold inside `alive`".  Family-size independent.
         self.memo_tau: dict[int, int] = {}
-        self.nodes = 0
         self.deadline: float | None = None
         # The current slots == 2 frame, P alive with a first star at c1:
         # (P - N_P[c1], N_P(c1)), or None when no such frame holds (t = 1).
@@ -230,12 +184,10 @@ class _Engine:
         # A, so every surviving vertex of A hangs onto Z, and so does every
         # other neighbor with more than m neighbors in A.  If that covers
         # all neighbors, no star at c can cut.
-        # G[alive] is connected (module docstring), so every component of
-        # G[Z] meets the ring Z ∩ N(N(c)), and Z is connected iff the ring
-        # lies in one component: the BFS stops once it has reached the ring.
-        # Before it, the sibling lemma (module docstring) may already prove
-        # Z connected for every leaf set of the first star at c1; that skips
-        # the BFS and returns the True the BFS would return.
+        # By the ring lemma (module docstring) the BFS that tests Z stops once
+        # it has reached the ring Z ∩ N(N(c)).  The sibling lemma may prove Z
+        # connected first; that skips the BFS and returns the True the BFS
+        # would return.
         z = alive & ~nb & ~(1 << c)
         if not z:
             return False
@@ -296,6 +248,48 @@ class _Engine:
         self.split |= cbit
         return False
 
+    # -- star enumeration --------------------------------------------------
+
+    def _leaf_sets(self, c: int, nb: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Yield (leaves, star mask) for stars at c with leaves in nb, lexicographically.
+
+        Single-leaf stars whose leaf precedes the center are suppressed: the
+        flipped orientation is canonical and is produced at the other center.
+        """
+        masks, m, induced = self.g.masks, self.m, self.opts.induced
+        cands = bits(nb)
+        cmask = 1 << c
+        if self.exact:
+            if len(cands) < m:
+                return
+            for combo in combinations(cands, m):
+                if m == 1 and combo[0] < c:
+                    continue
+                if induced and not leaves_independent(masks, combo):
+                    continue
+                smask = cmask
+                for leaf in combo:
+                    smask |= 1 << leaf
+                yield combo, smask
+            return
+
+        prefix: list[int] = []
+
+        def grow(start: int, pmask: int) -> Iterator[tuple[tuple[int, ...], int]]:
+            if len(prefix) != 1 or prefix[0] > c:
+                yield tuple(prefix), cmask | pmask
+            if len(prefix) == m:
+                return
+            for i in range(start, len(cands)):
+                leaf = cands[i]
+                if induced and pmask & masks[leaf]:
+                    continue
+                prefix.append(leaf)
+                yield from grow(i + 1, pmask | 1 << leaf)
+                prefix.pop()
+
+        yield from grow(0, 0)
+
     # -- last level: place one final star ---------------------------------
 
     def last_star(self, alive: int, pmax: int) -> Star | None:
@@ -322,13 +316,8 @@ class _Engine:
                 continue
             if self._center_hopeless(c, nb, deg, alive):
                 continue
-            ticks = 0
-            for leaves, smask in _leaf_sets(
-                masks, bits(nb), m, self.exact, opts.induced, c, cbit
-            ):
-                ticks += 1
-                if not ticks & 0x1FF:
-                    self._check_deadline()
+            for leaves, smask in self._leaf_sets(c, nb):
+                self._check_deadline()
                 if remainder_is_cut(g, dead | smask, strict_trivial=strict):
                     return Star(c, leaves)
         self.memo_tau[alive] = pmax
@@ -338,9 +327,7 @@ class _Engine:
 
     def search(self, alive: int, pmax: int, slots: int) -> list[Star] | None:
         """The least `slots` stars centered above pmax that cut `alive`."""
-        self.nodes += 1
-        if not self.nodes & 0xFF:
-            self._check_deadline()
+        self._check_deadline()
         if self._degree_bound_miss(alive, slots):
             return None
         if slots == 1:
@@ -357,9 +344,7 @@ class _Engine:
                 continue
             if slots == 2:
                 self._open_frame(alive, c)
-            for leaves, smask in _leaf_sets(
-                masks, bits(nb), m, self.exact, self.opts.induced, c, cbit
-            ):
+            for leaves, smask in self._leaf_sets(c, nb):
                 got = self.search(alive & ~smask, c, slots - 1)
                 if got is not None:
                     return [Star(c, leaves)] + got
@@ -401,7 +386,6 @@ def _connectivity(
         engine.deadline = time.monotonic() + opts.time_limit
     cap = min(t_max, _family_size_cap(g, m, kind))
     for t in range(1, cap + 1):
-        engine.frame = None
         try:
             family = engine.search(g.full_mask, -1, t)
         except _Deadline:

@@ -85,6 +85,16 @@ def test_solve_inconclusive_on_deadline(files, capsys):
     assert capsys.readouterr().out == "kappa structure 1 = none\n"
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_solve_rejects_a_bad_time_limit(files, capsys, limit):
+    g = files("c5.graph", C5)
+    code = run(["solve", "--graph", g, "--M", "1", "--tmax", "3", "--time-limit", limit])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "time_limit" in captured.err
+
+
 def test_verify_yes_and_no(files, capsys):
     g = files("c5.graph", C5)
     good = files("good.cut", "cut structure 1 2\ns 1 2\ns 3 4\n")

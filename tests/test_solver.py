@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -138,6 +139,18 @@ def test_rejects_tiny_input():
 def test_rejects_bad_parameters(m, tmax):
     with pytest.raises(ValueError):
         structure_connectivity(path(3), m, tmax)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), -1.0])
+def test_rejects_a_nan_or_negative_time_limit(limit):
+    # NaN would make a deadline no clock reading exceeds.
+    with pytest.raises(ValueError, match="time_limit"):
+        SearchOptions(time_limit=limit)
+
+
+def test_infinite_time_limit_means_no_limit():
+    res = structure_connectivity(cycle(6), 2, 3, SearchOptions(time_limit=math.inf))
+    assert (res.value, res.complete) == (2, True)
 
 
 def test_time_limit_reports_incomplete():
@@ -296,6 +309,19 @@ def test_time_limit_bounds_the_whole_call():
         elapsed = time.monotonic() - t0
         assert res.complete is False
         assert elapsed < 1.0
+
+
+def test_time_limit_stops_the_leaf_set_scan():
+    # On this 310-vertex gadget the hopeless rule settles few size-1 centers,
+    # so the search spends its time scanning leaf sets at one center; only
+    # the poll inside that scan can stop it on time.
+    red = reduce_3dm(gen_random_3dm(4, 3, True, 0), 6, allow_unrestricted=True)
+    opts = SearchOptions(time_limit=0.3)
+    t0 = time.monotonic()
+    res = structure_connectivity(red.graph, red.m, red.parameter, opts)
+    elapsed = time.monotonic() - t0
+    assert (res.bound, res.complete) == (0, False)
+    assert elapsed < 0.4
 
 
 # -- the hopeless-center rule -------------------------------------------------
