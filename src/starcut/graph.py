@@ -48,9 +48,11 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in bits((self.masks[u] >> (u + 1)) << (u + 1)):
-                yield (u, v)
+        for u, row in enumerate(self.masks):
+            # One scan of the row above u, least bit first.
+            for v, digit in enumerate(bin(row >> (u + 1))[:1:-1], u + 1):
+                if digit == "1":
+                    yield (u, v)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.masks == other.masks

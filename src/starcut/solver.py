@@ -51,6 +51,23 @@ proves Z connected stops once it has reached the ring R = Z ∩ N(N(c)):
   reaches it, then stands in for the ring BFS of all of them; when it fails,
   and at size 1, which has no such frame, the ring BFS runs as before.
 
+Root lemma: a first center needs trying only if it is the least vertex of
+its orbit under some group of automorphisms.  Let σ be an automorphism and
+F* the family a pass at size t returns, so c*, its first center, is the
+least first center of any cutting t-family.  σ(F*) is a cutting t-family
+too: σ keeps star shapes, disjointness, leaf independence and which
+remainders are disconnected or trivial.  Its centers include σ(c*), or the
+smaller endpoint of σ's image of a K_{1,1} at c*, so its least center is
+at most σ(c*), and c* <= σ(c*) follows.  This holds for every σ of any
+group of verified automorphisms, a subgroup included, so skipping the
+other first centers changes no value, bound or certificate; memo_tau's
+root entry stays true for the same reason.  The rule applies only at the
+root: at depth >= 2 the prefix breaks the symmetry, and skipping there
+would break the increasing-center canonical form.
+
+The automorphisms come from starcut.symmetry, which finds and verifies
+them once per call, on regular graphs only (_Engine._root_skips).
+
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
 partition search.  It shares no search code with the solver beyond the graph
@@ -77,6 +94,7 @@ from .cuts import (
     remainder_is_cut,
 )
 from .graph import Graph, bits, mask_connected, mask_reaches
+from .symmetry import orbit_followers
 
 ORACLE_SIZE_CAP = 14
 
@@ -150,6 +168,8 @@ class _Engine:
         self.frame: tuple[int, int] | None = None
         self.joined = 0
         self.split = 0
+        # First centers the root skips (root lemma); set by _connectivity.
+        self.root_skip = 0
 
     # -- prune predicates ------------------------------------------------
 
@@ -248,6 +268,10 @@ class _Engine:
         self.split |= cbit
         return False
 
+    def _root_skips(self) -> int:
+        """The first centers the root skips: each shares an orbit with a smaller vertex."""
+        return orbit_followers(self.g, self._check_deadline)
+
     # -- star enumeration --------------------------------------------------
 
     def _leaf_sets(self, c: int, nb: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -305,10 +329,11 @@ class _Engine:
         masks = g.masks
         strict = opts.strict_trivial
         dead = g.full_mask & ~alive
+        centers = alive & ~self.root_skip if pmax < 0 else alive
         for c in range(pmax + 1, tau + 1):
             self._check_deadline()
             cbit = 1 << c
-            if not alive & cbit:
+            if not centers & cbit:
                 continue
             nb = masks[c] & alive
             deg = nb.bit_count()
@@ -335,9 +360,10 @@ class _Engine:
             return None if star is None else [star]
         g, m = self.g, self.m
         masks = g.masks
+        centers = alive & ~self.root_skip if pmax < 0 else alive
         for c in range(pmax + 1, g.n):
             cbit = 1 << c
-            if not alive & cbit:
+            if not centers & cbit:
                 continue
             nb = masks[c] & alive
             if self.exact and nb.bit_count() < m:
@@ -385,18 +411,22 @@ def _connectivity(
     if opts.time_limit is not None:
         engine.deadline = time.monotonic() + opts.time_limit
     cap = min(t_max, _family_size_cap(g, m, kind))
-    for t in range(1, cap + 1):
-        try:
+    settled, family = 0, None
+    try:
+        engine.root_skip = engine._root_skips()
+        for t in range(1, cap + 1):
             family = engine.search(g.full_mask, -1, t)
-        except _Deadline:
-            return SolveResult(None, None, t - 1, False)
-        if family is None:
-            continue
-        # Centers strictly increase along a family, so it is already sorted.
-        cert = CutFamily(kind, m, tuple(family))
-        _check_certificate(g, cert, opts.strict_trivial, opts.induced, "search")
-        return SolveResult(t, cert, t, True)
-    return SolveResult(None, None, t_max, True)
+            if family is not None:
+                break
+            settled = t
+    except _Deadline:
+        return SolveResult(None, None, settled, False)
+    if family is None:
+        return SolveResult(None, None, t_max, True)
+    # Centers strictly increase along a family, so it is already sorted.
+    cert = CutFamily(kind, m, tuple(family))
+    _check_certificate(g, cert, opts.strict_trivial, opts.induced, "search")
+    return SolveResult(t, cert, t, True)
 
 
 def structure_connectivity(

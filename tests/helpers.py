@@ -5,15 +5,17 @@ turns the solver's pruning rules and its shared sibling test off."""
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from unittest.mock import patch
 
 from starcut import Graph, build, gen_random_graph, is_connected, mask_connected
 from starcut.solver import _Engine
 
-# The solver's prune predicates; each returns True to rule a subtree or a
-# center out, so patching it to return False switches that rule off.
-PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless")
+# The solver's prune rules.  The predicates return True to rule a subtree
+# or a center out, and _root_skips returns the mask of first centers the
+# root skips, so patching each to return False (an empty mask) switches
+# that rule off.
+PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless", "_root_skips")
 
 # The hopeless-center rule's shared Z test, one per pair of centers, which
 # answers for every sibling leaf set.  Its False means "unknown", so patching
@@ -63,13 +65,25 @@ def connected_corpus(count: int, max_n: int = 10, seed0: int = 0):
 
 
 def _canon(n: int, edge_set: frozenset[frozenset[int]]) -> tuple:
+    # The least adjacency bitmask over the relabelings that list vertices by
+    # increasing degree.  An isomorphism keeps degrees, so only those
+    # relabelings need trying.
+    pairs = [tuple(e) for e in edge_set]
+    deg = [0] * n
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+    groups = [[v for v in range(n) if deg[v] == d] for d in sorted(set(deg))]
     best = None
-    for perm in permutations(range(n)):
-        relabeled = tuple(
-            sorted(tuple(sorted((perm[u], perm[v]))) for u, v in map(tuple, edge_set))
-        )
-        if best is None or relabeled < best:
-            best = relabeled
+    for choice in product(*(permutations(group) for group in groups)):
+        label = [0] * n
+        for new, old in enumerate(v for group in choice for v in group):
+            label[old] = new
+        code = 0
+        for u, v in pairs:
+            code |= 1 << (label[u] * n + label[v]) | 1 << (label[v] * n + label[u])
+        if best is None or code < best:
+            best = code
     return (n, best)
 
 

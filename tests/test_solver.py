@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import math
+import random
 import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PRUNE_RULES, SIBLING_TEST, connected_corpus, pruning_off
+from helpers import (
+    PRUNE_RULES,
+    SIBLING_TEST,
+    connected_corpus,
+    connected_graphs_upto,
+    pruning_off,
+)
 from starcut import (
     STRUCTURE,
     SUBSTRUCTURE,
@@ -33,7 +41,7 @@ from starcut import (
     write_cut,
 )
 from starcut.graph import bits
-from starcut.solver import _best_partition, _Engine
+from starcut.solver import ORACLE_SIZE_CAP, _best_partition, _Engine
 
 BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -300,7 +308,7 @@ def test_corpus_certificates_pinned():
 
 
 def test_time_limit_bounds_the_whole_call():
-    # kappa(Q6; K_{1,1}) is 5 and ruling out size 3 alone takes seconds, so
+    # kappa(Q6; K_{1,1}) is 5 and ruling out size 4 alone takes seconds, so
     # the deadline must stop this search.
     q6 = hypercube(6)
     for fn in (structure_connectivity, substructure_connectivity):
@@ -536,6 +544,158 @@ def test_hypercube_closed_forms(d, m, kind):
     res = fn(g, m, want)
     assert (res.value, res.complete) == (want, True)
     assert check(g, res.certificate, m)
+
+
+# kappa(Q6; K_{1,1}) = 5.  With the root rule, ruling out sizes up to 3
+# takes well under a second; size 4 still takes tens of seconds.
+@pytest.mark.parametrize("kind", [STRUCTURE, SUBSTRUCTURE])
+def test_hypercube_q6_m1_exceeds_3(kind):
+    fn = structure_connectivity if kind == STRUCTURE else substructure_connectivity
+    res = fn(hypercube(6), 1, 3)
+    assert (res.value, res.bound, res.complete) == (None, 3, True)
+
+
+# -- the root rule ----------------------------------------------------------------
+
+
+def circulant(n, jumps):
+    return build(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def prism(k):
+    ring = [(v, (v + 1) % k) for v in range(k)]
+    return build(2 * k, ring + [(k + u, k + v) for u, v in ring] + [(v, k + v) for v in range(k)])
+
+
+def petersen():
+    return build(
+        10,
+        [(v, (v + 1) % 5) for v in range(5)]
+        + [(v, v + 5) for v in range(5)]
+        + [(5 + v, 5 + (v + 2) % 5) for v in range(5)],
+    )
+
+
+# Regular of degree 3 with the identity as its only automorphism.
+FRUCHT = build(
+    12,
+    [(0, 1), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 8), (3, 4), (3, 9), (4, 5),
+     (4, 9), (5, 6), (5, 10), (6, 10), (7, 11), (8, 9), (8, 11), (10, 11)],
+)
+
+
+# Regular of degree 4.  Distance refinement reaches a discrete match of 0
+# with each of 1, 2, 4 and 5, and none is an automorphism, so only the edge
+# check rejects them.
+DECOY = build(
+    8,
+    [(0, 2), (0, 3), (0, 5), (0, 6), (1, 2), (1, 5), (1, 6), (1, 7), (2, 4), (2, 6),
+     (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (6, 7)],
+)
+
+
+def relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def symmetric_family():
+    """Regular hosts: most vertex-transitive, FRUCHT with no symmetry at all,
+    and three relabeled copies whose vertex 0 is not special."""
+    return (
+        [cycle(n) for n in range(4, 13)]
+        + [complete(n) for n in range(3, 9)]
+        + [hypercube(3), hypercube(4), petersen()]
+        + [prism(k) for k in range(3, 8)]
+        + [circulant(n, j) for n, j in ((8, (1, 3)), (9, (1, 3)), (10, (1, 4)),
+                                        (10, (1, 2, 5)), (12, (1, 5)), (13, (1, 5)))]
+        + [FRUCHT, relabeled(hypercube(4), 0), relabeled(petersen(), 0), relabeled(prism(5), 0)]
+    )
+
+
+def root_skip(g):
+    return _Engine(g, 1, STRUCTURE, SearchOptions())._root_skips()
+
+
+_VARIANTS = (SearchOptions(), SearchOptions(strict_trivial=True), SearchOptions(induced=True))
+_KINDS = ((STRUCTURE, structure_connectivity), (SUBSTRUCTURE, substructure_connectivity))
+
+
+def test_root_rule_changes_no_result():
+    family = symmetric_family()
+    skipping = 0
+    for g in family:
+        skipping += root_skip(g) != 0
+        for m in range(4):
+            for _, fn in _KINDS:
+                for opts in _VARIANTS:
+                    on = fn(g, m, g.n, opts)
+                    with pruning_off("_root_skips"):
+                        off = fn(g, m, g.n, opts)
+                    assert on == off, (tuple(g.edges()), m, fn.__name__, opts)
+    assert skipping == len(family) - 1  # all but FRUCHT
+
+
+def test_root_rule_agrees_with_oracle():
+    for g in symmetric_family():
+        if g.n > ORACLE_SIZE_CAP:
+            continue
+        for m in range(4):
+            for kind, fn in _KINDS:
+                for opts in _VARIANTS:
+                    got = fn(g, m, g.n, opts)
+                    want = oracle_connectivity(
+                        g, m, kind, g.n, strict_trivial=opts.strict_trivial, induced=opts.induced
+                    )
+                    assert (got.value, got.complete) == (want.value, want.complete)
+
+
+def test_root_skips_no_least_vertex_of_an_orbit():
+    # Brute force: an orbit's least vertex is the least image of any of its
+    # members under all automorphisms.
+    regular = 0
+    for g in connected_graphs_upto(6) + [DECOY]:
+        skip = root_skip(g)
+        if len({row.bit_count() for row in g.masks}) > 1:
+            assert skip == 0
+            continue
+        regular += 1
+        autos = [
+            p for p in permutations(range(g.n))
+            if all(g.masks[p[x]] == sum(1 << p[y] for y in bits(row))
+                   for x, row in enumerate(g.masks))
+        ]
+        for x in bits(skip):
+            assert min(p[x] for p in autos) < x, (tuple(g.edges()), x)
+    assert regular == 13
+
+
+def test_vertex_transitive_hosts_keep_only_root_0():
+    hosts = [hypercube(d) for d in (3, 4, 5, 6)] + [cycle(n) for n in range(3, 30)] + [petersen()]
+    for g in hosts:
+        assert g.full_mask & ~root_skip(g) == 1, g
+
+
+def test_time_limit_covers_the_automorphism_search():
+    # The search for this circulant's automorphisms takes about 20 ms, so a
+    # 4 ms limit falls inside it.  Best of three calls, to see past a busy host.
+    g = circulant(600, (1, 7))
+    limit = 0.004
+    for _, fn in _KINDS:
+        over = []
+        for _ in range(3):
+            t0 = time.monotonic()
+            res = fn(g, 1, 3, SearchOptions(time_limit=limit))
+            over.append(time.monotonic() - t0 - limit)
+            assert (res.bound, res.complete) == (0, False)
+        assert min(over) < 0.005
+
+
+def test_zero_time_limit_settles_no_size():
+    for _, fn in _KINDS:
+        res = fn(hypercube(6), 1, 5, SearchOptions(time_limit=0))
+        assert (res.value, res.bound, res.complete) == (None, 0, False)
 
 
 # No vertex set disconnects K_n, so a cut must leave at most one vertex.
