@@ -51,22 +51,41 @@ proves Z connected stops once it has reached the ring R = Z ∩ N(N(c)):
   reaches it, then stands in for the ring BFS of all of them; when it fails,
   and at size 1, which has no such frame, the ring BFS runs as before.
 
-Root lemma: a first center needs trying only if it is the least vertex of
-its orbit under some group of automorphisms.  Let σ be an automorphism and
-F* the family a pass at size t returns, so c*, its first center, is the
-least first center of any cutting t-family.  σ(F*) is a cutting t-family
-too: σ keeps star shapes, disjointness, leaf independence and which
-remainders are disconnected or trivial.  Its centers include σ(c*), or the
-smaller endpoint of σ's image of a K_{1,1} at c*, so its least center is
-at most σ(c*), and c* <= σ(c*) follows.  This holds for every σ of any
-group of verified automorphisms, a subgroup included, so skipping the
-other first centers changes no value, bound or certificate; memo_tau's
-root entry stays true for the same reason.  The rule applies only at the
-root: at depth >= 2 the prefix breaks the symmetry, and skipping there
-would break the increasing-center canonical form.
+Stabilizer lemma: let H be any group of verified automorphisms that fix
+every star placed so far, each with its center fixed.  Then the next star's
+center needs trying only if it is the least vertex of its H-orbit, and each
+of its leaves l_i only if it is the least of its orbit under the members of
+H that also fix the center and l_1..l_{i-1}.  Search order compares
+families by (c_1, L_1, c_2, L_2, ...), leaf sets as tuples.
+- Let F* be the family a pass at size t returns, the least cutting
+  t-family, and σ ∈ H.  σ(F*) is a cutting t-family too: σ keeps star
+  shapes, disjointness, leaf independence and which remainders are
+  disconnected or trivial.
+- σ(F*) keeps F*'s first k-1 stars.  Every later star of σ(F*) has its
+  canonical center above c_{k-1}; otherwise σ(F*) would precede F*.  (The
+  canonical center of a K_{1,1} is its smaller endpoint, at most σ of the
+  center.)  So the k-th star of σ(F*) has center at most σ(c_k), and F* <=
+  σ(F*) forces c_k <= σ(c_k).
+- If σ also fixes c_k, no star of σ(F*) past the prefix has its canonical
+  center below c_k, or σ(F*) would precede F*.  So the k-th star of σ(F*)
+  is (c_k, σ(L_k)), and L_k <= σ(L_k).  If σ fixes l_1..l_{i-1} too, a
+  σ(l_j) with j >= i below l_{i-1} would make σ(L_k) precede L_k, so
+  l_i <= σ(l_i).
+- memo_tau cannot hide F*.  An entry that an unpruned last_star writes
+  states a fact about its alive set, whatever pruning led there.  The one
+  entry a pruned last_star writes is the root's, memo_tau[V] at size 1, and
+  only the root, pruning by the same group, reads it.
+This holds for every group of verified automorphisms, a subgroup included,
+so skipping changes no value, bound or certificate.  An orbit of Aut(G)
+itself proves nothing below the root: there H must fix the prefix.
 
-The automorphisms come from starcut.symmetry, which finds and verifies
-them once per call, on regular graphs only (_Engine._root_skips).
+The search applies the lemma to the first two stars only: Aut(G) for the
+root centers; the stabilizer of c, then of c and each leaf so far, for the
+root's leaves; and the stabilizer of c and of L as a set for the second
+center.  The last two run only when the root has slots >= 3, where the
+subtree below is interior.  The automorphisms come from starcut.symmetry,
+which finds and verifies them lazily, one Orbits object per coloring, and
+only on regular graphs.
 
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
@@ -94,7 +113,7 @@ from .cuts import (
     remainder_is_cut,
 )
 from .graph import Graph, bits, mask_connected, mask_reaches
-from .symmetry import orbit_followers
+from .symmetry import Orbits, is_regular
 
 ORACLE_SIZE_CAP = 14
 
@@ -168,8 +187,8 @@ class _Engine:
         self.frame: tuple[int, int] | None = None
         self.joined = 0
         self.split = 0
-        # First centers the root skips (root lemma); set by _connectivity.
-        self.root_skip = 0
+        # BFS distances from each vertex, shared by every orbit query.
+        self.dist: dict[int, list[int]] = {}
 
     # -- prune predicates ------------------------------------------------
 
@@ -268,9 +287,13 @@ class _Engine:
         self.split |= cbit
         return False
 
-    def _root_skips(self) -> int:
-        """The first centers the root skips: each shares an orbit with a smaller vertex."""
-        return orbit_followers(self.g, self._check_deadline)
+    def _orbits(self, *cells: int) -> Orbits:
+        """Orbit queries under the automorphisms that keep each mask in cells.
+
+        The stabilizer lemma's H: a placed star is passed as its center and
+        its leaf set, a fixed leaf as itself.
+        """
+        return Orbits(self.g, cells, self._check_deadline, self.dist)
 
     # -- star enumeration --------------------------------------------------
 
@@ -314,12 +337,34 @@ class _Engine:
 
         yield from grow(0, 0)
 
+    def _least_leaf_sets(self, c: int, nb: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """The leaf sets of _leaf_sets(c, nb) that the stabilizer lemma keeps.
+
+        A leaf set is kept when each leaf l_i is the least of its orbit under
+        the automorphisms that fix c and l_1..l_{i-1}.  Leaf sets come in
+        lexicographic order, so each Orbits object is asked first about the
+        least leaf it will be asked about.
+        """
+        cbit = 1 << c
+        queries: dict[tuple[int, ...], Orbits] = {}
+        for leaves, smask in self._leaf_sets(c, nb):
+            for i, leaf in enumerate(leaves):
+                fixed = leaves[:i]
+                orbits = queries.get(fixed)
+                if orbits is None:
+                    orbits = queries[fixed] = self._orbits(cbit, *(1 << v for v in fixed))
+                if orbits and orbits.follows(leaf):
+                    break
+            else:
+                yield leaves, smask
+
     # -- last level: place one final star ---------------------------------
 
-    def last_star(self, alive: int, pmax: int) -> Star | None:
+    def last_star(self, alive: int, pmax: int, orbits: Orbits | None = None) -> Star | None:
         """Least star by (center, leaves), centered above pmax, that cuts `alive`.
 
-        Misses tighten the per-alive center threshold memo.
+        Misses tighten the per-alive center threshold memo.  orbits, given
+        only at the root, skips the centers that follow a smaller vertex.
         """
         g, m = self.g, self.m
         opts = self.opts
@@ -329,15 +374,15 @@ class _Engine:
         masks = g.masks
         strict = opts.strict_trivial
         dead = g.full_mask & ~alive
-        centers = alive & ~self.root_skip if pmax < 0 else alive
         for c in range(pmax + 1, tau + 1):
             self._check_deadline()
-            cbit = 1 << c
-            if not centers & cbit:
+            if not alive >> c & 1:
                 continue
             nb = masks[c] & alive
             deg = nb.bit_count()
             if self.exact and deg < m:
+                continue
+            if orbits and orbits.follows(c):
                 continue
             if self._center_hopeless(c, nb, deg, alive):
                 continue
@@ -350,28 +395,40 @@ class _Engine:
 
     # -- interior levels ---------------------------------------------------
 
-    def search(self, alive: int, pmax: int, slots: int) -> list[Star] | None:
-        """The least `slots` stars centered above pmax that cut `alive`."""
+    def search(
+        self, alive: int, pmax: int, slots: int, orbits: Orbits | None = None
+    ) -> list[Star] | None:
+        """The least `slots` stars centered above pmax that cut `alive`.
+
+        orbits skips the centers that follow a smaller vertex under the
+        automorphisms that fix the stars placed so far (stabilizer lemma).
+        The root gets one.  With slots >= 3 the root also prunes its leaves
+        and gives the child below each of its stars one for the second center.
+        """
         self._check_deadline()
         if self._degree_bound_miss(alive, slots):
             return None
         if slots == 1:
-            star = self.last_star(alive, pmax)
+            star = self.last_star(alive, pmax, orbits)
             return None if star is None else [star]
         g, m = self.g, self.m
         masks = g.masks
-        centers = alive & ~self.root_skip if pmax < 0 else alive
+        deep = orbits and pmax < 0 and slots >= 3
         for c in range(pmax + 1, g.n):
             cbit = 1 << c
-            if not centers & cbit:
+            if not alive & cbit:
                 continue
             nb = masks[c] & alive
             if self.exact and nb.bit_count() < m:
                 continue
+            if orbits and orbits.follows(c):
+                continue
             if slots == 2:
                 self._open_frame(alive, c)
-            for leaves, smask in self._leaf_sets(c, nb):
-                got = self.search(alive & ~smask, c, slots - 1)
+            leaf_sets = self._least_leaf_sets(c, nb) if deep else self._leaf_sets(c, nb)
+            for leaves, smask in leaf_sets:
+                below = self._orbits(cbit, smask & ~cbit) if deep else None
+                got = self.search(alive & ~smask, c, slots - 1, below)
                 if got is not None:
                     return [Star(c, leaves)] + got
         return None
@@ -412,10 +469,12 @@ def _connectivity(
         engine.deadline = time.monotonic() + opts.time_limit
     cap = min(t_max, _family_size_cap(g, m, kind))
     settled, family = 0, None
+    # Orbit queries run only on regular graphs, so the irregular corpus and
+    # gadget graphs pay one degree scan and no query.
+    root = engine._orbits() if is_regular(g) else None
     try:
-        engine.root_skip = engine._root_skips()
         for t in range(1, cap + 1):
-            family = engine.search(g.full_mask, -1, t)
+            family = engine.search(g.full_mask, -1, t, root)
             if family is not None:
                 break
             settled = t

@@ -1,17 +1,30 @@
-"""Vertex orbits of a regular graph, from automorphisms found by search.
+"""Lazy vertex-orbit queries under automorphisms that keep a coloring.
 
-orbit_followers(g, poll) returns the vertices whose orbit holds a smaller
-vertex, under the group that the automorphisms it finds generate.  It does
-nothing unless g is regular.  For each v not yet in 0's orbit it looks for
-σ with σ(0) = v, in the spirit of McKay & Piperno, *Practical graph
-isomorphism II* (2014): it fixes 0 against v, splits both sides by distance
-to every vertex fixed so far, fixes the least vertex of a cell that is not
-yet a singleton against each candidate of the matching cell in turn, and
-backtracks when the two sides' cells stop matching.  A discrete match is
-checked edge by edge before its pairs x ~ σ(x) join a union-find, whose
-classes are then the orbits of the group generated so far.  So the answer
-is sound however far the search got: AUT_NODE_BUDGET bounds its steps, and
-poll may stop it by raising.
+Orbits(g, cells, poll, dist).follows(x) asks whether some automorphism found
+so far maps a smaller vertex to x.  Only automorphisms that keep every mask
+in cells as a color class count; the vertices in no cell form one more
+class.  The answer grows with the automorphisms found, so it is sound however
+far the search got: True proves x shares an orbit with a smaller vertex,
+False proves nothing.
+
+Nothing is built before the second vertex asked about.  The solver asks
+about its candidates in increasing order and tries its first candidate
+anyway, so the first query answers False, and a search that succeeds on its
+first candidate does no orbit work at all.  A False answer is kept, so a
+vertex asked about again costs nothing.  The build colors the vertices: the
+key of a vertex is, per cell, the sorted distances to the cell's members,
+which every automorphism that keeps the cells also keeps.  It then starts a
+union-find whose classes are the orbits of the group generated so far.
+
+For a query x that is still the least of its class, the object tries each
+class leader r < x of x's color in turn, and looks for σ with σ(r) = x in
+the spirit of McKay & Piperno, *Practical graph isomorphism II* (2014): it
+fixes r against x, splits both sides by distance to every vertex fixed so
+far, fixes the least vertex of a cell that is not yet a singleton against
+each candidate of the matching cell in turn, and backtracks when the two
+sides' cells stop matching.  A discrete match is checked edge by edge before
+its pairs v ~ σ(v) join the union-find.  AUT_NODE_BUDGET bounds the steps
+of one object, and poll runs before each step and may stop it by raising.
 """
 
 from __future__ import annotations
@@ -20,83 +33,110 @@ from typing import Callable
 
 from .graph import Graph, bits
 
-# Individualization steps one orbit_followers call may take.
+# Individualization steps one Orbits object may take over all its queries.
 AUT_NODE_BUDGET = 64
 
 
-def orbit_followers(g: Graph, poll: Callable[[], None]) -> int:
-    """Mask of the vertices that share a found orbit with a smaller vertex.
-
-    0 unless g is regular.  g must be connected.  poll runs before every
-    search step.
-    """
+def is_regular(g: Graph) -> bool:
+    """True iff every vertex of g has the same degree."""
     masks = g.masks
     degree = masks[0].bit_count()
     for row in masks:
         if row.bit_count() != degree:
-            return 0
-    n = g.n
-    leader = list(range(n))  # union-find; each root is its class's least vertex
+            return False
+    return True
 
-    def find(x: int) -> int:
+
+class Orbits:
+    """Orbit queries under the automorphisms of g that keep each mask in cells.
+
+    g must be connected.  dist caches each vertex's BFS distances and may be
+    shared by every Orbits object on the same graph.
+    """
+
+    __slots__ = ("g", "cells", "poll", "dist", "least", "color", "leader", "budget")
+
+    def __init__(
+        self,
+        g: Graph,
+        cells: tuple[int, ...],
+        poll: Callable[[], None],
+        dist: dict[int, list[int]],
+    ):
+        self.g = g
+        self.cells = cells
+        self.poll = poll
+        self.dist = dist
+        self.least = 0  # mask of the vertices answered False
+        self.color: list[int] = []
+        self.leader: list[int] = []  # union-find; each root is its class's least vertex
+        self.budget = AUT_NODE_BUDGET
+
+    def follows(self, x: int) -> bool:
+        """True iff a found automorphism maps a vertex smaller than x to x."""
+        if self.least >> x & 1:
+            return False
+        if not self.leader:
+            if not self.least:
+                self.least = 1 << x
+                return False
+            self._start()
+        leader, color = self.leader, self.color
+        if self._find(x) != x:
+            return True
+        want = color[x]
+        for r in range(x):
+            if self.budget <= 0:
+                break
+            if color[r] != want or leader[r] != r:
+                continue
+            sigma = self._map(r, x)
+            if sigma is not None:
+                for v, w in enumerate(sigma):
+                    a, b = self._find(v), self._find(w)
+                    if a != b:
+                        leader[max(a, b)] = min(a, b)
+                return True
+        self.least |= 1 << x
+        return False
+
+    def _start(self) -> None:
+        n = self.g.n
+        groups = [[self._distances(u) for u in bits(cell)] for cell in self.cells]
+        ids: dict[tuple, int] = {}
+        self.color = [
+            ids.setdefault(
+                tuple(tuple(sorted(d[v] for d in group)) for group in groups), len(ids)
+            )
+            for v in range(n)
+        ]
+        self.leader = list(range(n))
+
+    def _find(self, x: int) -> int:
+        leader = self.leader
         while leader[x] != x:
             leader[x] = x = leader[leader[x]]
         return x
 
-    budget = [AUT_NODE_BUDGET]
-    dist: dict[int, list[int]] = {}
-    for v in range(1, n):
-        if find(v) == 0:
-            continue
-        sigma = _automorphism(g, v, poll, dist, budget)
-        if sigma is None:
-            if budget[0] <= 0:
-                break
-            continue
-        for x, y in enumerate(sigma):
-            a, b = find(x), find(y)
-            if a != b:
-                leader[max(a, b)] = min(a, b)
-    skip = 0
-    for x in range(n):
-        if find(x) != x:
-            skip |= 1 << x
-    return skip
-
-
-def _automorphism(
-    g: Graph,
-    v: int,
-    poll: Callable[[], None],
-    dist: dict[int, list[int]],
-    budget: list[int],
-) -> list[int] | None:
-    """An automorphism σ with σ(0) = v as the list of images, or None.
-
-    None also once budget[0], the steps left, runs out.  dist caches each
-    fixed vertex's distances.
-    """
-    n = g.n
-
-    def distances(u: int) -> list[int]:
-        got = dist.get(u)
+    def _distances(self, u: int) -> list[int]:
+        got = self.dist.get(u)
         if got is None:
-            got = dist[u] = _distances(g, u)
+            got = self.dist[u] = _distances(self.g, u)
         return got
 
-    def fix(col_a: list[int], col_b: list[int], a: int, b: int):
+    def _fix(self, col_a: list[int], col_b: list[int], a: int, b: int):
         # One step: split both colorings by distance to a, resp. b.
-        poll()
-        if budget[0] <= 0:
+        self.poll()
+        if self.budget <= 0:
             return None
-        budget[0] -= 1
+        self.budget -= 1
         ids: dict[tuple[int, int], int] = {}
-        new_a = [ids.setdefault(key, len(ids)) for key in zip(col_a, distances(a))]
+        new_a = [ids.setdefault(key, len(ids)) for key in zip(col_a, self._distances(a))]
         left = [0] * len(ids)
         for k in new_a:
             left[k] += 1
         new_b = []
-        for key in zip(col_b, distances(b)):
+        for key in zip(col_b, self._distances(b)):
             k = ids.get(key, -1)
             if k < 0 or not left[k]:
                 return None
@@ -104,30 +144,36 @@ def _automorphism(
             new_b.append(k)
         return new_a, new_b, len(ids)
 
-    def extend(col_a: list[int], col_b: list[int], cells: int) -> list[int] | None:
+    def _extend(self, col_a: list[int], col_b: list[int], cells: int) -> list[int] | None:
+        n = self.g.n
         if cells == n:
             where = [0] * n
             for y, k in enumerate(col_b):
                 where[k] = y
             sigma = [where[k] for k in col_a]
-            return sigma if _is_automorphism(g, sigma) else None
+            return sigma if _is_automorphism(self.g, sigma) else None
         size = [0] * cells
         for k in col_a:
             size[k] += 1
-        a = next(x for x, k in enumerate(col_a) if size[k] > 1)
+        a = next(v for v, k in enumerate(col_a) if size[k] > 1)
         cell = col_a[a]
         for b, k in enumerate(col_b):
             if k != cell:
                 continue
-            step = fix(col_a, col_b, a, b)
+            step = self._fix(col_a, col_b, a, b)
             if step is not None:
-                sigma = extend(*step)
+                sigma = self._extend(*step)
                 if sigma is not None:
                     return sigma
         return None
 
-    step = fix([0] * n, [0] * n, 0, v)
-    return None if step is None else extend(*step)
+    def _map(self, r: int, x: int) -> list[int] | None:
+        """An automorphism σ that keeps the coloring with σ(r) = x, or None.
+
+        None also once the budget runs out.
+        """
+        step = self._fix(self.color, self.color, r, x)
+        return None if step is None else self._extend(*step)
 
 
 def _distances(g: Graph, u: int) -> list[int]:

@@ -12,10 +12,10 @@ from starcut import Graph, build, gen_random_graph, is_connected, mask_connected
 from starcut.solver import _Engine
 
 # The solver's prune rules.  The predicates return True to rule a subtree
-# or a center out, and _root_skips returns the mask of first centers the
-# root skips, so patching each to return False (an empty mask) switches
-# that rule off.
-PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless", "_root_skips")
+# or a center out.  _orbits builds the query object behind every skip of
+# the stabilizer lemma, and the search skips nothing where it gets a falsy
+# one.  So patching each to return False switches that rule off.
+PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless", "_orbits")
 
 # The hopeless-center rule's shared Z test, one per pair of centers, which
 # answers for every sibling leaf set.  Its False means "unknown", so patching

@@ -19,6 +19,7 @@ from helpers import (
 from starcut import (
     STRUCTURE,
     SUBSTRUCTURE,
+    CutFamily,
     SearchOptions,
     Star,
     build,
@@ -42,6 +43,7 @@ from starcut import (
 )
 from starcut.graph import bits
 from starcut.solver import ORACLE_SIZE_CAP, _best_partition, _Engine
+from starcut.symmetry import Orbits
 
 BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -308,8 +310,8 @@ def test_corpus_certificates_pinned():
 
 
 def test_time_limit_bounds_the_whole_call():
-    # kappa(Q6; K_{1,1}) is 5 and ruling out size 4 alone takes seconds, so
-    # the deadline must stop this search.
+    # kappa(Q6; K_{1,1}) is 5 and ruling out size 4 alone takes about a
+    # second, so the deadline must stop this search.
     q6 = hypercube(6)
     for fn in (structure_connectivity, substructure_connectivity):
         t0 = time.monotonic()
@@ -401,11 +403,11 @@ def test_last_star_sees_a_connected_alive_set(monkeypatch):
     calls = 0
     place = _Engine.last_star
 
-    def checked(self, alive, pmax):
+    def checked(self, alive, pmax, *orbits):
         nonlocal calls
         calls += 1
         assert mask_connected(self.g, alive), (tuple(self.g.edges()), alive)
-        return place(self, alive, pmax)
+        return place(self, alive, pmax, *orbits)
 
     monkeypatch.setattr(_Engine, "last_star", checked)
     variants = (
@@ -546,13 +548,24 @@ def test_hypercube_closed_forms(d, m, kind):
     assert check(g, res.certificate, m)
 
 
-# kappa(Q6; K_{1,1}) = 5.  With the root rule, ruling out sizes up to 3
-# takes well under a second; size 4 still takes tens of seconds.
+# kappa(Q6; K_{1,1}) = 5 for both kinds.  With the stabilizer lemma,
+# ruling out sizes up to 4 takes about a second; the size-5 solve that
+# found Q6_M1_CUT takes tens of seconds, so only its family is checked here.
+# Removing its five edges leaves the edge {2, 3} cut off.
+Q6_M1_CUT = ((0, (1,)), (6, (7,)), (10, (11,)), (18, (19,)), (34, (35,)))
+
+
 @pytest.mark.parametrize("kind", [STRUCTURE, SUBSTRUCTURE])
-def test_hypercube_q6_m1_exceeds_3(kind):
-    fn = structure_connectivity if kind == STRUCTURE else substructure_connectivity
-    res = fn(hypercube(6), 1, 3)
-    assert (res.value, res.bound, res.complete) == (None, 3, True)
+def test_hypercube_q6_m1_exceeds_4(kind):
+    if kind == STRUCTURE:
+        fn, check = structure_connectivity, is_structure_cut
+    else:
+        fn, check = substructure_connectivity, is_substructure_cut
+    g = hypercube(6)
+    res = fn(g, 1, 4)
+    assert (res.value, res.bound, res.complete) == (None, 4, True)
+    family = CutFamily(kind, 1, tuple(Star(c, leaves) for c, leaves in Q6_M1_CUT))
+    assert check(g, family, 1)
 
 
 # -- the root rule ----------------------------------------------------------------
@@ -602,39 +615,61 @@ def relabeled(g, seed):
 
 def symmetric_family():
     """Regular hosts: most vertex-transitive, FRUCHT with no symmetry at all,
-    and three relabeled copies whose vertex 0 is not special."""
+    and three relabeled copies whose vertex 0 is not special.
+
+    In circulant(16; 1, 4) the stabilizer of 0 keeps the ±1 neighbors apart
+    from the ±4 ones, so taking root leaf orbits under all of Aut(G) instead
+    of under Stab(0) raises its M=1 values from 3 to 4.
+    """
     return (
         [cycle(n) for n in range(4, 13)]
         + [complete(n) for n in range(3, 9)]
         + [hypercube(3), hypercube(4), petersen()]
         + [prism(k) for k in range(3, 8)]
         + [circulant(n, j) for n, j in ((8, (1, 3)), (9, (1, 3)), (10, (1, 4)),
-                                        (10, (1, 2, 5)), (12, (1, 5)), (13, (1, 5)))]
+                                        (10, (1, 2, 5)), (12, (1, 5)), (13, (1, 5)),
+                                        (16, (1, 4)))]
         + [FRUCHT, relabeled(hypercube(4), 0), relabeled(petersen(), 0), relabeled(prism(5), 0)]
     )
 
 
-def root_skip(g):
-    return _Engine(g, 1, STRUCTURE, SearchOptions())._root_skips()
+def followers(g, *cells):
+    """Mask of the vertices one orbit query object skips, asked in increasing order."""
+    orbits = _Engine(g, 1, STRUCTURE, SearchOptions())._orbits(*cells)
+    return sum(1 << x for x in range(g.n) if orbits.follows(x))
 
 
 _VARIANTS = (SearchOptions(), SearchOptions(strict_trivial=True), SearchOptions(induced=True))
 _KINDS = ((STRUCTURE, structure_connectivity), (SUBSTRUCTURE, substructure_connectivity))
 
 
-def test_root_rule_changes_no_result():
-    family = symmetric_family()
+def test_root_rule_changes_no_result(monkeypatch):
+    # Covers all of the stabilizer lemma: root centers, root leaves and second
+    # centers.  colored counts the skips made under a coloring, the last two.
+    family = symmetric_family() + [hypercube(5)]
     skipping = 0
     for g in family:
-        skipping += root_skip(g) != 0
+        skipping += followers(g) != 0
+    colored = 0
+    follows = Orbits.follows
+
+    def counting(self, x):
+        nonlocal colored
+        got = follows(self, x)
+        colored += got and bool(self.cells)
+        return got
+
+    monkeypatch.setattr(Orbits, "follows", counting)
+    for g in family:
         for m in range(4):
             for _, fn in _KINDS:
                 for opts in _VARIANTS:
                     on = fn(g, m, g.n, opts)
-                    with pruning_off("_root_skips"):
+                    with pruning_off("_orbits"):
                         off = fn(g, m, g.n, opts)
                     assert on == off, (tuple(g.edges()), m, fn.__name__, opts)
     assert skipping == len(family) - 1  # all but FRUCHT
+    assert colored > 1000, colored
 
 
 def test_root_rule_agrees_with_oracle():
@@ -652,33 +687,38 @@ def test_root_rule_agrees_with_oracle():
 
 
 def test_root_skips_no_least_vertex_of_an_orbit():
-    # Brute force: an orbit's least vertex is the least image of any of its
-    # members under all automorphisms.
-    regular = 0
+    # Brute force: every vertex a query skips has an automorphism that keeps
+    # the cells and maps it below itself.  The colorings are the root's (no
+    # cells), vertex 0 fixed, and a star at 0 with one or two leaves.
+    skipped = 0
     for g in connected_graphs_upto(6) + [DECOY]:
-        skip = root_skip(g)
-        if len({row.bit_count() for row in g.masks}) > 1:
-            assert skip == 0
-            continue
-        regular += 1
         autos = [
             p for p in permutations(range(g.n))
             if all(g.masks[p[x]] == sum(1 << p[y] for y in bits(row))
                    for x, row in enumerate(g.masks))
         ]
-        for x in bits(skip):
-            assert min(p[x] for p in autos) < x, (tuple(g.edges()), x)
-    assert regular == 13
+        leaves = bits(g.masks[0])
+        stars = [(1, sum(1 << v for v in leaves[:k])) for k in (1, 2) if k <= len(leaves)]
+        for cells in [(), (1,)] + stars:
+            group = [
+                p for p in autos
+                if all(sum(1 << p[v] for v in bits(cell)) == cell for cell in cells)
+            ]
+            skip = followers(g, *cells)
+            skipped += skip.bit_count()
+            for x in bits(skip):
+                assert min(p[x] for p in group) < x, (tuple(g.edges()), cells, x)
+    assert skipped > 800
 
 
 def test_vertex_transitive_hosts_keep_only_root_0():
     hosts = [hypercube(d) for d in (3, 4, 5, 6)] + [cycle(n) for n in range(3, 30)] + [petersen()]
     for g in hosts:
-        assert g.full_mask & ~root_skip(g) == 1, g
+        assert g.full_mask & ~followers(g) == 1, g
 
 
 def test_time_limit_covers_the_automorphism_search():
-    # The search for this circulant's automorphisms takes about 20 ms, so a
+    # The first orbit query on this circulant searches for about 9 ms, so a
     # 4 ms limit falls inside it.  Best of three calls, to see past a busy host.
     g = circulant(600, (1, 7))
     limit = 0.004
@@ -690,6 +730,22 @@ def test_time_limit_covers_the_automorphism_search():
             over.append(time.monotonic() - t0 - limit)
             assert (res.bound, res.complete) == (0, False)
         assert min(over) < 0.005
+
+
+def test_time_limit_covers_the_orbit_queries():
+    # Each coloring the search uses: the root's, a fixed center, and a star.
+    # The first query builds nothing, so it answers without polling; every
+    # later query that searches polls the engine's deadline before each step.
+    g = hypercube(4)
+    for cells, x in (((), 1), ((1,), 2), ((1, 0b110), 8)):
+        engine = _Engine(g, 1, STRUCTURE, SearchOptions())
+        orbits = engine._orbits(*cells)
+        engine.deadline = time.monotonic() - 1
+        assert not orbits.follows(0)
+        with pytest.raises(solver._Deadline):
+            orbits.follows(x)
+        engine.deadline = None
+        assert orbits.follows(x)
 
 
 def test_zero_time_limit_settles_no_size():
