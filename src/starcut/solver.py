@@ -71,21 +71,32 @@ families by (c_1, L_1, c_2, L_2, ...), leaf sets as tuples.
   is (c_k, σ(L_k)), and L_k <= σ(L_k).  If σ fixes l_1..l_{i-1} too, a
   σ(l_j) with j >= i below l_{i-1} would make σ(L_k) precede L_k, so
   l_i <= σ(l_i).
-- memo_tau cannot hide F*.  An entry that an unpruned last_star writes
-  states a fact about its alive set, whatever pruning led there.  The one
-  entry a pruned last_star writes is the root's, memo_tau[V] at size 1, and
-  only the root, pruning by the same group, reads it.
+- memo_tau cannot hide F*.  Say an entry memo_tau[A] = p skips F*'s last
+  star S*, centered above p, at alive set A below prefix P*.  A last_star
+  wrote it at A below a prefix P whose last center is p, searched before
+  P*.  So (P, S*) is a cutting family as well: either it has F*'s size and
+  precedes F*, or it is smaller and an earlier size ruled it out.  Either
+  contradicts the choice of F*, whatever pruning that last_star did.
 This holds for every group of verified automorphisms, a subgroup included,
 so skipping changes no value, bound or certificate.  An orbit of Aut(G)
 itself proves nothing below the root: there H must fix the prefix.
 
-The search applies the lemma to the first two stars only: Aut(G) for the
-root centers; the stabilizer of c, then of c and each leaf so far, for the
-root's leaves; and the stabilizer of c and of L as a set for the second
-center.  The last two run only when the root has slots >= 3, where the
-subtree below is interior.  The automorphisms come from starcut.symmetry,
-which finds and verifies them lazily, one Orbits object per coloring, and
-only on regular graphs.
+The search applies the lemma at every interior level.  The root prunes its
+centers by Aut(G).  A node with slots >= 3 and placed prefix P prunes its
+leaves by the stabilizer of P, c and the leaves so far.  It hands the child
+below each star (c, L) the stabilizer of P plus (c, L), and the child
+prunes its centers with it.  Two limits hold:
+- No orbits into last_star below the root.  The memo argument allows them,
+  and a variant that passed them changed no tested result, but one orbit
+  query per last-level center costs more than it saves: a hypercube bench
+  pass took 0.32 s against 0.09 s.
+- No leaf pruning at slots == 2.  A variant that pruned there took 0.12 s
+  per hypercube bench pass against 0.09 s.
+On Q6 with M=1 the size-5 solve takes 2.0 s (structure) and 6.9 s
+(substructure) on a 2-vCPU VM, against 15.7 s and 72.7 s with the first two
+stars pruned alone.  The automorphisms come from starcut.symmetry, which
+finds and verifies them lazily, one Orbits object per coloring, and only on
+regular graphs.
 
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
@@ -337,13 +348,15 @@ class _Engine:
 
         yield from grow(0, 0)
 
-    def _least_leaf_sets(self, c: int, nb: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def _least_leaf_sets(
+        self, c: int, nb: int, prefix: tuple[int, ...]
+    ) -> Iterator[tuple[tuple[int, ...], int]]:
         """The leaf sets of _leaf_sets(c, nb) that the stabilizer lemma keeps.
 
         A leaf set is kept when each leaf l_i is the least of its orbit under
-        the automorphisms that fix c and l_1..l_{i-1}.  Leaf sets come in
-        lexicographic order, so each Orbits object is asked first about the
-        least leaf it will be asked about.
+        the automorphisms that keep the placed stars in prefix and fix c and
+        l_1..l_{i-1}.  Leaf sets come in lexicographic order, so each Orbits
+        object is asked first about the least leaf it will be asked about.
         """
         cbit = 1 << c
         queries: dict[tuple[int, ...], Orbits] = {}
@@ -352,7 +365,9 @@ class _Engine:
                 fixed = leaves[:i]
                 orbits = queries.get(fixed)
                 if orbits is None:
-                    orbits = queries[fixed] = self._orbits(cbit, *(1 << v for v in fixed))
+                    orbits = queries[fixed] = self._orbits(
+                        *prefix, cbit, *(1 << v for v in fixed)
+                    )
                 if orbits and orbits.follows(leaf):
                     break
             else:
@@ -364,7 +379,8 @@ class _Engine:
         """Least star by (center, leaves), centered above pmax, that cuts `alive`.
 
         Misses tighten the per-alive center threshold memo.  orbits, given
-        only at the root, skips the centers that follow a smaller vertex.
+        only at the root at size 1, skips the centers that follow a smaller
+        vertex.
         """
         g, m = self.g, self.m
         opts = self.opts
@@ -396,14 +412,23 @@ class _Engine:
     # -- interior levels ---------------------------------------------------
 
     def search(
-        self, alive: int, pmax: int, slots: int, orbits: Orbits | None = None
+        self,
+        alive: int,
+        pmax: int,
+        slots: int,
+        orbits: Orbits | None = None,
+        prefix: tuple[int, ...] = (),
     ) -> list[Star] | None:
         """The least `slots` stars centered above pmax that cut `alive`.
 
-        orbits skips the centers that follow a smaller vertex under the
-        automorphisms that fix the stars placed so far (stabilizer lemma).
-        The root gets one.  With slots >= 3 the root also prunes its leaves
-        and gives the child below each of its stars one for the second center.
+        prefix holds the stars placed so far, a center bit and a leaf mask
+        each, and orbits answers under the automorphisms that keep them
+        (stabilizer lemma).  Given one, the node skips the centers that
+        follow a smaller vertex.  With slots >= 3 it also skips leaves and
+        gives the child below each of its stars the stabilizer of the prefix
+        plus that star.  A slots == 2 node prunes its centers only, and only
+        the root, at size 1, passes orbits into last_star (the two limits in
+        the module docstring).
         """
         self._check_deadline()
         if self._degree_bound_miss(alive, slots):
@@ -413,7 +438,7 @@ class _Engine:
             return None if star is None else [star]
         g, m = self.g, self.m
         masks = g.masks
-        deep = orbits and pmax < 0 and slots >= 3
+        deep = orbits and slots >= 3
         for c in range(pmax + 1, g.n):
             cbit = 1 << c
             if not alive & cbit:
@@ -425,10 +450,13 @@ class _Engine:
                 continue
             if slots == 2:
                 self._open_frame(alive, c)
-            leaf_sets = self._least_leaf_sets(c, nb) if deep else self._leaf_sets(c, nb)
+            leaf_sets = self._least_leaf_sets(c, nb, prefix) if deep else self._leaf_sets(c, nb)
             for leaves, smask in leaf_sets:
-                below = self._orbits(cbit, smask & ~cbit) if deep else None
-                got = self.search(alive & ~smask, c, slots - 1, below)
+                if deep:
+                    placed = (*prefix, cbit, smask & ~cbit)
+                    got = self.search(alive & ~smask, c, slots - 1, self._orbits(*placed), placed)
+                else:
+                    got = self.search(alive & ~smask, c, slots - 1)
                 if got is not None:
                     return [Star(c, leaves)] + got
         return None

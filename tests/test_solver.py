@@ -548,24 +548,26 @@ def test_hypercube_closed_forms(d, m, kind):
     assert check(g, res.certificate, m)
 
 
-# kappa(Q6; K_{1,1}) = 5 for both kinds.  With the stabilizer lemma,
-# ruling out sizes up to 4 takes about a second; the size-5 solve that
-# found Q6_M1_CUT takes tens of seconds, so only its family is checked here.
+# kappa(Q6; K_{1,1}) = 5 for both kinds.  With the stabilizer lemma at every
+# interior level, the structure solve at t_max=5 takes about 2 s and returns
+# Q6_M1_CUT.  The substructure solve at t_max=5 takes about 7 s, so that
+# kind rules out sizes up to 4 (about 0.3 s) and checks the family.
 # Removing its five edges leaves the edge {2, 3} cut off.
 Q6_M1_CUT = ((0, (1,)), (6, (7,)), (10, (11,)), (18, (19,)), (34, (35,)))
 
 
 @pytest.mark.parametrize("kind", [STRUCTURE, SUBSTRUCTURE])
 def test_hypercube_q6_m1_exceeds_4(kind):
-    if kind == STRUCTURE:
-        fn, check = structure_connectivity, is_structure_cut
-    else:
-        fn, check = substructure_connectivity, is_substructure_cut
     g = hypercube(6)
-    res = fn(g, 1, 4)
-    assert (res.value, res.bound, res.complete) == (None, 4, True)
     family = CutFamily(kind, 1, tuple(Star(c, leaves) for c, leaves in Q6_M1_CUT))
-    assert check(g, family, 1)
+    if kind == STRUCTURE:
+        res = structure_connectivity(g, 1, 5)
+        assert (res.value, res.bound, res.complete) == (5, 5, True)
+        assert res.certificate == family
+        return
+    res = substructure_connectivity(g, 1, 4)
+    assert (res.value, res.bound, res.complete) == (None, 4, True)
+    assert is_substructure_cut(g, family, 1)
 
 
 # -- the root rule ----------------------------------------------------------------
@@ -619,7 +621,10 @@ def symmetric_family():
 
     In circulant(16; 1, 4) the stabilizer of 0 keeps the ±1 neighbors apart
     from the ±4 ones, so taking root leaf orbits under all of Aut(G) instead
-    of under Stab(0) raises its M=1 values from 3 to 4.
+    of under Stab(0) raises its M=1 values from 3 to 4.  In circulant(12; 2,
+    3, 4) the least M=1 substructure family has a second star whose leaf 5 is
+    least only under the stabilizer of the first star too, so taking the
+    second star's leaf orbits without it returns a later certificate.
     """
     return (
         [cycle(n) for n in range(4, 13)]
@@ -628,7 +633,7 @@ def symmetric_family():
         + [prism(k) for k in range(3, 8)]
         + [circulant(n, j) for n, j in ((8, (1, 3)), (9, (1, 3)), (10, (1, 4)),
                                         (10, (1, 2, 5)), (12, (1, 5)), (13, (1, 5)),
-                                        (16, (1, 4)))]
+                                        (16, (1, 4)), (12, (2, 3, 4)))]
         + [FRUCHT, relabeled(hypercube(4), 0), relabeled(petersen(), 0), relabeled(prism(5), 0)]
     )
 
@@ -644,22 +649,44 @@ _KINDS = ((STRUCTURE, structure_connectivity), (SUBSTRUCTURE, substructure_conne
 
 
 def test_root_rule_changes_no_result(monkeypatch):
-    # Covers all of the stabilizer lemma: root centers, root leaves and second
-    # centers.  colored counts the skips made under a coloring, the last two.
+    # Covers all of the stabilizer lemma: root centers, and below them the
+    # centers and leaves of every interior level.  colored counts the skips
+    # made under a coloring; deep counts those made by the objects a node
+    # below the root builds, whose cells hold a full placed star plus more.
     family = symmetric_family() + [hypercube(5)]
     skipping = 0
     for g in family:
         skipping += followers(g) != 0
-    colored = 0
-    follows = Orbits.follows
+    colored = deep = depth = 0
+    below_root = {}  # id -> object, for those the current solve built below its root
+    follows, make, search = Orbits.follows, _Engine._orbits, _Engine.search
 
     def counting(self, x):
-        nonlocal colored
+        nonlocal colored, deep
         got = follows(self, x)
         colored += got and bool(self.cells)
+        deep += got and below_root.get(id(self)) is self
         return got
 
+    def searching(self, *args):
+        nonlocal depth
+        if not depth:
+            below_root.clear()
+        depth += 1
+        try:
+            return search(self, *args)
+        finally:
+            depth -= 1
+
+    def making(self, *cells):
+        orbits = make(self, *cells)
+        if depth > 1:
+            below_root[id(orbits)] = orbits
+        return orbits
+
     monkeypatch.setattr(Orbits, "follows", counting)
+    monkeypatch.setattr(_Engine, "search", searching)
+    monkeypatch.setattr(_Engine, "_orbits", making)
     for g in family:
         for m in range(4):
             for _, fn in _KINDS:
@@ -670,6 +697,7 @@ def test_root_rule_changes_no_result(monkeypatch):
                     assert on == off, (tuple(g.edges()), m, fn.__name__, opts)
     assert skipping == len(family) - 1  # all but FRUCHT
     assert colored > 1000, colored
+    assert deep > 0, deep
 
 
 def test_root_rule_agrees_with_oracle():
@@ -689,7 +717,9 @@ def test_root_rule_agrees_with_oracle():
 def test_root_skips_no_least_vertex_of_an_orbit():
     # Brute force: every vertex a query skips has an automorphism that keeps
     # the cells and maps it below itself.  The colorings are the root's (no
-    # cells), vertex 0 fixed, and a star at 0 with one or two leaves.
+    # cells), vertex 0 fixed, a star at 0 with one or two leaves, and two
+    # placed stars: 0 with its least leaf, then the least vertex outside N[0]
+    # with its least neighbor outside the first star.
     skipped = 0
     for g in connected_graphs_upto(6) + [DECOY]:
         autos = [
@@ -699,6 +729,10 @@ def test_root_skips_no_least_vertex_of_an_orbit():
         ]
         leaves = bits(g.masks[0])
         stars = [(1, sum(1 << v for v in leaves[:k])) for k in (1, 2) if k <= len(leaves)]
+        for first in leaves[:1]:
+            for c in bits(g.full_mask & ~g.masks[0] & ~1)[:1]:
+                for leaf in bits(g.masks[c] & ~(1 | 1 << first))[:1]:
+                    stars.append((1, 1 << first, 1 << c, 1 << leaf))
         for cells in [(), (1,)] + stars:
             group = [
                 p for p in autos
@@ -733,11 +767,13 @@ def test_time_limit_covers_the_automorphism_search():
 
 
 def test_time_limit_covers_the_orbit_queries():
-    # Each coloring the search uses: the root's, a fixed center, and a star.
-    # The first query builds nothing, so it answers without polling; every
-    # later query that searches polls the engine's deadline before each step.
+    # Each coloring the search uses: the root's, a fixed center, a star, and
+    # two placed stars, (0, (1,)) and (6, (7,)), whose stabilizer swaps the
+    # coordinates 1 and 2 and so maps 2 to 4.  The first query builds
+    # nothing, so it answers without polling; every later query that searches
+    # polls the engine's deadline before each step.
     g = hypercube(4)
-    for cells, x in (((), 1), ((1,), 2), ((1, 0b110), 8)):
+    for cells, x in (((), 1), ((1,), 2), ((1, 0b110), 8), ((1, 0b10, 1 << 6, 1 << 7), 4)):
         engine = _Engine(g, 1, STRUCTURE, SearchOptions())
         orbits = engine._orbits(*cells)
         engine.deadline = time.monotonic() - 1
