@@ -9,9 +9,13 @@ Search scheme: iterative deepening on the family size t, one sequential
 pass per size.  Families are sets, so each one is enumerated exactly once by
 requiring strictly increasing center ids.  Centers and leaves are tried in
 increasing id order, so the first family a pass finds is the
-lexicographically least one and serves directly as the certificate.  The
-caller's time_limit bounds the whole call: the deadline is polled at every
-search node, every last-level center and every last-level leaf set.
+lexicographically least one and serves directly as the certificate.  One
+recursive node, _Engine.search, serves every level: with slots >= 1 free it
+tries each center above the last placed one and recurses below each of its
+stars, and at slots == 0 it tests whether the placed family cuts.  The
+caller's time_limit bounds the whole call: the deadline is polled on entry
+to every node, so once per leaf set tested, and at every center a node
+tries.
 
 Two pruning rules and a memo cut the search; each stays because switching
 it off was measured to slow the benchmark down, and none changes values or
@@ -72,11 +76,11 @@ families by (c_1, L_1, c_2, L_2, ...), leaf sets as tuples.
   σ(l_j) with j >= i below l_{i-1} would make σ(L_k) precede L_k, so
   l_i <= σ(l_i).
 - memo_tau cannot hide F*.  Say an entry memo_tau[A] = p skips F*'s last
-  star S*, centered above p, at alive set A below prefix P*.  A last_star
-  wrote it at A below a prefix P whose last center is p, searched before
-  P*.  So (P, S*) is a cutting family as well: either it has F*'s size and
-  precedes F*, or it is smaller and an earlier size ruled it out.  Either
-  contradicts the choice of F*, whatever pruning that last_star did.
+  star S*, centered above p, at alive set A below prefix P*.  A slots == 1
+  node wrote it at A below a prefix P whose last center is p, searched
+  before P*.  So (P, S*) is a cutting family as well: either it has F*'s
+  size and precedes F*, or it is smaller and an earlier size ruled it out.
+  Either contradicts the choice of F*, whatever pruning that node did.
 This holds for every group of verified automorphisms, a subgroup included,
 so skipping changes no value, bound or certificate.  An orbit of Aut(G)
 itself proves nothing below the root: there H must fix the prefix.
@@ -86,17 +90,17 @@ centers by Aut(G).  A node with slots >= 3 and placed prefix P prunes its
 leaves by the stabilizer of P, c and the leaves so far.  It hands the child
 below each star (c, L) the stabilizer of P plus (c, L), and the child
 prunes its centers with it.  Two limits hold:
-- No orbits into last_star below the root.  The memo argument allows them,
-  and a variant that passed them changed no tested result, but one orbit
-  query per last-level center costs more than it saves: a hypercube bench
-  pass took 0.32 s against 0.09 s.
+- No orbits into the last level below the root: a slots == 2 node hands
+  its children none.  The memo argument allows them, and a variant that
+  passed them changed no tested result, but one orbit query per last-level
+  center costs more than it saves: a hypercube bench pass took 0.32 s
+  against 0.09 s.
 - No leaf pruning at slots == 2.  A variant that pruned there took 0.12 s
   per hypercube bench pass against 0.09 s.
 On Q6 with M=1 the size-5 solve takes 2.0 s (structure) and 6.9 s
-(substructure) on a 2-vCPU VM, against 15.7 s and 72.7 s with the first two
-stars pruned alone.  The automorphisms come from starcut.symmetry, which
-finds and verifies them lazily, one Orbits object per coloring, and only on
-regular graphs.
+(substructure) on a 2-vCPU VM.  The automorphisms come from
+starcut.symmetry, which finds and verifies them lazily, one Orbits object
+per coloring, and only on regular graphs.
 
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
@@ -140,10 +144,9 @@ class SearchOptions:
     becomes an incomplete result.  It must be None or >= 0; inf means no
     limit, and a negative or NaN limit raises ValueError.
 
-    No option switches pruning: the degree bound, the hopeless-center rule
-    (with its Z test shared between sibling leaf sets) and the per-alive-set
-    memo never change values or certificates, only speed, so they always
-    run.
+    No option switches pruning: its rules never change values or
+    certificates, only speed, so they always run.  The module docstring
+    lists them with their proofs.
     """
 
     strict_trivial: bool = False
@@ -349,12 +352,12 @@ class _Engine:
         yield from grow(0, 0)
 
     def _least_leaf_sets(
-        self, c: int, nb: int, prefix: tuple[int, ...]
+        self, c: int, nb: int, cells: tuple[int, ...]
     ) -> Iterator[tuple[tuple[int, ...], int]]:
         """The leaf sets of _leaf_sets(c, nb) that the stabilizer lemma keeps.
 
         A leaf set is kept when each leaf l_i is the least of its orbit under
-        the automorphisms that keep the placed stars in prefix and fix c and
+        the automorphisms that keep the placed stars in cells and fix c and
         l_1..l_{i-1}.  Leaf sets come in lexicographic order, so each Orbits
         object is asked first about the least leaf it will be asked about.
         """
@@ -366,33 +369,48 @@ class _Engine:
                 orbits = queries.get(fixed)
                 if orbits is None:
                     orbits = queries[fixed] = self._orbits(
-                        *prefix, cbit, *(1 << v for v in fixed)
+                        *cells, cbit, *(1 << v for v in fixed)
                     )
                 if orbits and orbits.follows(leaf):
                     break
             else:
                 yield leaves, smask
 
-    # -- last level: place one final star ---------------------------------
+    # -- the search --------------------------------------------------------
 
-    def last_star(self, alive: int, pmax: int, orbits: Orbits | None = None) -> Star | None:
-        """Least star by (center, leaves), centered above pmax, that cuts `alive`.
+    def search(
+        self, alive: int, pmax: int, slots: int, orbits: Orbits | None = None
+    ) -> list[Star] | None:
+        """The least `slots` stars centered above pmax that cut `alive`.
 
-        Misses tighten the per-alive center threshold memo.  orbits, given
-        only at the root at size 1, skips the centers that follow a smaller
-        vertex.
+        At slots == 0 every star is placed and the node tests the cut.
+        Otherwise it tries each center above pmax and recurses below each of
+        its stars.  A slots == 1 node also consults and tightens memo_tau
+        and applies the hopeless rule; a slots == 2 node opens the sibling
+        frame.  orbits answers under the automorphisms that keep the placed
+        stars, its cells (stabilizer lemma).  Given one, the node skips the
+        centers that follow a smaller vertex; with slots >= 3 it also skips
+        leaves and hands each child the stabilizer of its cells plus that
+        star.  The module docstring says why no other level prunes by it.
         """
-        g, m = self.g, self.m
-        opts = self.opts
-        tau = self.memo_tau.get(alive, g.n - 1)
-        if tau <= pmax:
+        self._check_deadline()
+        g = self.g
+        if not slots:
+            dead = g.full_mask & ~alive
+            return [] if remainder_is_cut(g, dead, strict_trivial=self.opts.strict_trivial) else None
+        if self._degree_bound_miss(alive, slots):
             return None
-        masks = g.masks
-        strict = opts.strict_trivial
-        dead = g.full_mask & ~alive
+        tau = g.n - 1
+        if slots == 1:
+            tau = self.memo_tau.get(alive, tau)
+            if tau <= pmax:
+                return None
+        masks, m = g.masks, self.m
+        deep = orbits and slots >= 3
         for c in range(pmax + 1, tau + 1):
             self._check_deadline()
-            if not alive >> c & 1:
+            cbit = 1 << c
+            if not alive & cbit:
                 continue
             nb = masks[c] & alive
             deg = nb.bit_count()
@@ -400,65 +418,18 @@ class _Engine:
                 continue
             if orbits and orbits.follows(c):
                 continue
-            if self._center_hopeless(c, nb, deg, alive):
-                continue
-            for leaves, smask in self._leaf_sets(c, nb):
-                self._check_deadline()
-                if remainder_is_cut(g, dead | smask, strict_trivial=strict):
-                    return Star(c, leaves)
-        self.memo_tau[alive] = pmax
-        return None
-
-    # -- interior levels ---------------------------------------------------
-
-    def search(
-        self,
-        alive: int,
-        pmax: int,
-        slots: int,
-        orbits: Orbits | None = None,
-        prefix: tuple[int, ...] = (),
-    ) -> list[Star] | None:
-        """The least `slots` stars centered above pmax that cut `alive`.
-
-        prefix holds the stars placed so far, a center bit and a leaf mask
-        each, and orbits answers under the automorphisms that keep them
-        (stabilizer lemma).  Given one, the node skips the centers that
-        follow a smaller vertex.  With slots >= 3 it also skips leaves and
-        gives the child below each of its stars the stabilizer of the prefix
-        plus that star.  A slots == 2 node prunes its centers only, and only
-        the root, at size 1, passes orbits into last_star (the two limits in
-        the module docstring).
-        """
-        self._check_deadline()
-        if self._degree_bound_miss(alive, slots):
-            return None
-        if slots == 1:
-            star = self.last_star(alive, pmax, orbits)
-            return None if star is None else [star]
-        g, m = self.g, self.m
-        masks = g.masks
-        deep = orbits and slots >= 3
-        for c in range(pmax + 1, g.n):
-            cbit = 1 << c
-            if not alive & cbit:
-                continue
-            nb = masks[c] & alive
-            if self.exact and nb.bit_count() < m:
-                continue
-            if orbits and orbits.follows(c):
+            if slots == 1 and self._center_hopeless(c, nb, deg, alive):
                 continue
             if slots == 2:
                 self._open_frame(alive, c)
-            leaf_sets = self._least_leaf_sets(c, nb, prefix) if deep else self._leaf_sets(c, nb)
+            leaf_sets = self._least_leaf_sets(c, nb, orbits.cells) if deep else self._leaf_sets(c, nb)
             for leaves, smask in leaf_sets:
-                if deep:
-                    placed = (*prefix, cbit, smask & ~cbit)
-                    got = self.search(alive & ~smask, c, slots - 1, self._orbits(*placed), placed)
-                else:
-                    got = self.search(alive & ~smask, c, slots - 1)
+                child = self._orbits(*orbits.cells, cbit, smask & ~cbit) if deep else None
+                got = self.search(alive & ~smask, c, slots - 1, child)
                 if got is not None:
-                    return [Star(c, leaves)] + got
+                    return [Star(c, leaves), *got]
+        if slots == 1:
+            self.memo_tau[alive] = pmax
         return None
 
 

@@ -1,6 +1,7 @@
-"""Shared test utilities: a brute-force vertex connectivity reference,
-seeded graph corpora, exhaustive small-graph enumeration, and a switch that
-turns the solver's pruning rules and its shared sibling test off."""
+"""Shared test utilities: brute-force vertex connectivity and domination
+references, seeded graph corpora, exhaustive small-graph enumeration, and a
+switch that turns the solver's pruning rules and its shared sibling test
+off."""
 
 from __future__ import annotations
 
@@ -44,6 +45,19 @@ def brute_vertex_connectivity(g: Graph) -> int | None:
             if rest.bit_count() >= 2 and not mask_connected(g, rest):
                 return size
     return None
+
+
+def domination_number(g: Graph, within: int) -> int:
+    """γ(G[within]): fewest vertices of `within` whose closed neighborhoods cover it."""
+    verts = [v for v in range(g.n) if within >> v & 1]
+    for size in range(len(verts) + 1):
+        for sel in combinations(verts, size):
+            covered = 0
+            for v in sel:
+                covered |= g.masks[v] | 1 << v
+            if covered & within == within:
+                return size
+    raise AssertionError("within names a vertex outside g")
 
 
 def connected_corpus(count: int, max_n: int = 10, seed0: int = 0):

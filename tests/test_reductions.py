@@ -27,6 +27,7 @@ from starcut import (
     extract_cover,
     extract_matching,
     gen_random_3dm,
+    gen_random_graph,
     is_connected,
     is_structure_cut,
     is_substructure_cut,
@@ -38,6 +39,8 @@ from starcut import (
     structure_connectivity,
     substructure_connectivity,
 )
+
+from helpers import domination_number
 
 ONE = ThreeDMInstance(1, ((1, 1, 1),))
 # every element occurs exactly twice; no perfect matching exists
@@ -231,6 +234,45 @@ def test_audit_vc_rejects_crossed_taps():
     crossed = dataclasses.replace(red, graph=build(red.graph.n, edges))
     with pytest.raises(AssertionError, match="one neighbor outside its clique"):
         audit_reduced_vc(crossed)
+
+
+def _cover_gadget_law(g):
+    # The cut that removes the originals in I, by stars inside G[I], and the
+    # n - |I| other vertices of one clique, by stars of Δ + 1 clique vertices.
+    n = g.n
+    delta = max(g.degree(v) for v in range(n))
+    return min(
+        domination_number(g, keep) + -(-(n - keep.bit_count()) // (delta + 1))
+        for keep in range(1, 1 << n)
+    )
+
+
+def test_cover_gadget_value_follows_the_domination_law():
+    # For sources with Δ >= 1 the gadget's substructure value is
+    # min over nonempty I of γ(G[I]) + ⌈(n - |I|)/(Δ + 1)⌉, whatever k is.
+    checked = 0
+    for n in range(3, 9):
+        for s in range(10):
+            g = gen_random_graph(n, 0.5, 100 * n + s)
+            if not g.edge_count:
+                continue
+            want = _cover_gadget_law(g)
+            for k in range(1, min(3, n - 1) + 1):
+                red = reduce_vertex_cover(VertexCoverInstance(g, k))
+                res = substructure_connectivity(red.graph, red.m, want)
+                assert (res.value, res.complete) == (want, True), (tuple(g.edges()), k)
+                checked += 1
+    assert checked == 168
+
+
+def test_cover_gadget_value_on_edgeless_sources():
+    # With Δ = 0 the law above reads n, but the stars are bare vertices, and
+    # removing one original's k+2 taps strands it: κ_s = min(n, k + 2).
+    for n in range(2, 6):
+        for k in range(1, n):
+            red = reduce_vertex_cover(VertexCoverInstance(build(n, []), k))
+            res = substructure_connectivity(red.graph, red.m, n)
+            assert (res.value, res.complete) == (min(n, k + 2), True), (n, k)
 
 
 def test_reduce_vc_m_is_the_max_degree():

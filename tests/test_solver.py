@@ -370,6 +370,33 @@ def test_gadget_190_settles_size_1():
     assert res.certificate.elements == (Star(149, (104, 145, 146, 147, 148)),)
 
 
+def test_deadline_is_polled_at_every_center(monkeypatch):
+    # The hopeless rule settles the size-1 centers of this gadget without a
+    # leaf scan, so no leaf-set test polls for them.  Each center the root
+    # visits, 0 up to the certificate's 149, must poll on its own, on top of
+    # the one poll at every node entry.
+    polls = nodes = 0
+    poll, search = _Engine._check_deadline, _Engine.search
+
+    def polling(self):
+        nonlocal polls
+        polls += 1
+        poll(self)
+
+    def entering(self, *args):
+        nonlocal nodes
+        nodes += 1
+        return search(self, *args)
+
+    monkeypatch.setattr(_Engine, "_check_deadline", polling)
+    monkeypatch.setattr(_Engine, "search", entering)
+    red = reduce_3dm(gen_random_3dm(3, 4, True, 1), 5, allow_unrestricted=True)
+    res = structure_connectivity(red.graph, red.m, 3)
+    (last,) = res.certificate.elements
+    assert nodes < 10  # the root and the few leaf sets the rule left to test
+    assert polls - nodes >= last.center + 1
+
+
 def test_center_skip_agrees_with_off_and_oracle(monkeypatch):
     # Counts the centers only the generalized rule settles: some alive
     # neighbor misses Z, so the all-neighbors-touch-Z form would not apply.
@@ -399,17 +426,19 @@ def test_center_skip_agrees_with_off_and_oracle(monkeypatch):
 
 def test_last_star_sees_a_connected_alive_set(monkeypatch):
     # The hopeless-center rule stops its BFS at the ring Z ∩ N(N(c)), which
-    # is sound only while G[alive] is connected when the last star is placed.
+    # is sound only while G[alive] is connected when the last star is placed,
+    # that is at every search node with one slot left.
     calls = 0
-    place = _Engine.last_star
+    search = _Engine.search
 
-    def checked(self, alive, pmax, *orbits):
+    def checked(self, alive, pmax, slots, *orbits):
         nonlocal calls
-        calls += 1
-        assert mask_connected(self.g, alive), (tuple(self.g.edges()), alive)
-        return place(self, alive, pmax, *orbits)
+        if slots == 1:
+            calls += 1
+            assert mask_connected(self.g, alive), (tuple(self.g.edges()), alive)
+        return search(self, alive, pmax, slots, *orbits)
 
-    monkeypatch.setattr(_Engine, "last_star", checked)
+    monkeypatch.setattr(_Engine, "search", checked)
     variants = (
         (SearchOptions(), ()),
         (SearchOptions(strict_trivial=True), ()),
