@@ -117,18 +117,16 @@ def cycle(n: int) -> Graph:
     return build(n, [(v, (v + 1) % n) for v in range(n)])
 
 
-def mask_reaches(g: Graph, mask: int, target: int) -> bool:
-    """True iff every vertex of `target` lies in one component of G[mask].
+def mask_connected(g: Graph, mask: int) -> bool:
+    """True iff the vertices in `mask` induce a connected subgraph.
 
-    `target` must lie inside `mask`; an empty target is trivially joined.
-    The BFS starts at the lowest target vertex and stops at the first round
-    that has reached all of `target`.
+    The empty and single-vertex masks count as connected.
     """
-    if not target:
+    if not mask:
         return True
     masks = g.masks
-    reach = frontier = target & -target
-    while frontier and target & ~reach:
+    reach = frontier = mask & -mask
+    while frontier and reach != mask:
         nxt = 0
         rest = frontier
         while rest:
@@ -137,15 +135,7 @@ def mask_reaches(g: Graph, mask: int, target: int) -> bool:
             nxt |= masks[v]
         frontier = nxt & mask & ~reach
         reach |= frontier
-    return not target & ~reach
-
-
-def mask_connected(g: Graph, mask: int) -> bool:
-    """True iff the vertices in `mask` induce a connected subgraph.
-
-    The empty and single-vertex masks count as connected.
-    """
-    return mask_reaches(g, mask, mask)
+    return reach == mask
 
 
 def is_connected(g: Graph) -> bool:

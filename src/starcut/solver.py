@@ -36,24 +36,19 @@ first.
 A center c is hopeless when Z, the alive set outside N[c], is connected, the
 remainder keeps >= 2 vertices, and every alive neighbor of c either touches
 Z or has more than m neighbors among those that do: a star at c removes at
-most m of them, so every surviving neighbor still reaches Z.  The BFS that
-proves Z connected stops once it has reached the ring R = Z ∩ N(N(c)):
-- Invariant: G[alive] is connected whenever the last star is placed.  Sizes
-  run 1, 2, ... and stop at the first that cuts, so at size t every
-  (t-1)-family, the chosen prefix included, was ruled out and leaves a
-  connected remainder; at size 1 alive is the whole, connected, input.
-- Ring lemma: if G[alive] is connected, every component of G[Z] meets R.
-  On a path in G[alive] from z to c, the vertex just before the first one
-  in N[c] lies in R, and the path up to it stays in Z.  So Z is connected
-  iff R lies in one component of G[Z].
+most m of them, so every surviving neighbor still reaches Z.  The argument
+asks nothing else of the alive set, so the rule is sound wherever it is
+asked.  A BFS over Z tests that Z is connected, unless the sibling lemma has
+proved it already:
 - Sibling lemma: at size t >= 2 every last star sits in a slots == 2 frame,
   alive set P with a first star at c1 whose leaves L1 lie in N_P(c1).  For a
   later center c, Z(L1) = Zmin + (attach - L1) with Zmin = P - N_P[c1] -
   N[c] and attach = N_P(c1) - N[c].  If G[Zmin] is nonempty and connected and
   every attach vertex has a neighbor in Zmin, then Z(L1) is connected for
   every sibling L1.  One test per (c1, c), made the first time a sibling
-  reaches it, then stands in for the ring BFS of all of them; when it fails,
-  and at size 1, which has no such frame, the ring BFS runs as before.
+  reaches it, then stands in for the BFS over Z of all of them; when it
+  fails, and at size 1, which has no such frame, the BFS over Z runs as
+  before.
 
 Stabilizer lemma: let H be any group of verified automorphisms that fix
 every star placed so far, each with its center fixed.  Then the next star's
@@ -127,7 +122,7 @@ from .cuts import (
     leaves_independent,
     remainder_is_cut,
 )
-from .graph import Graph, bits, mask_connected, mask_reaches
+from .graph import Graph, bits, mask_connected
 from .symmetry import Orbits, is_regular
 
 ORACLE_SIZE_CAP = 14
@@ -237,10 +232,8 @@ class _Engine:
         # A, so every surviving vertex of A hangs onto Z, and so does every
         # other neighbor with more than m neighbors in A.  If that covers
         # all neighbors, no star at c can cut.
-        # By the ring lemma (module docstring) the BFS that tests Z stops once
-        # it has reached the ring Z ∩ N(N(c)).  The sibling lemma may prove Z
-        # connected first; that skips the BFS and returns the True the BFS
-        # would return.
+        # The sibling lemma (module docstring) may prove Z connected first;
+        # that skips the BFS over Z and returns the True the BFS would return.
         z = alive & ~nb & ~(1 << c)
         if not z:
             return False
@@ -249,14 +242,12 @@ class _Engine:
         if z.bit_count() + leftover < 2:
             return False
         masks = self.g.masks
-        ring = 0
         off = 0
         rest = nb
         while rest:
             bit = rest & -rest
             rest ^= bit
             row = masks[bit.bit_length() - 1]
-            ring |= row
             if not row & z:
                 # Too few neighbors even in all of N(c), let alone in A.
                 if (row & nb).bit_count() <= m:
@@ -268,7 +259,7 @@ class _Engine:
             off ^= bit
             if (masks[bit.bit_length() - 1] & touch).bit_count() <= m:
                 return False
-        return self._siblings_joined(c) or mask_reaches(self.g, z, ring & z)
+        return self._siblings_joined(c) or mask_connected(self.g, z)
 
     def _open_frame(self, alive: int, c1: int) -> None:
         """Enter a slots == 2 frame: every last star now sees alive minus a star at c1."""
@@ -279,7 +270,7 @@ class _Engine:
     def _siblings_joined(self, c: int) -> bool:
         # The sibling lemma (module docstring), tested once per (c1, c): True
         # proves Z connected for every leaf set of the first star at c1.
-        # False means only "unknown": the caller runs its ring BFS.
+        # False means only "unknown": the caller runs its BFS over Z.
         cbit = 1 << c
         if self.joined & cbit:
             return True

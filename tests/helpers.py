@@ -20,7 +20,7 @@ PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless", "_orbits")
 
 # The hopeless-center rule's shared Z test, one per pair of centers, which
 # answers for every sibling leaf set.  Its False means "unknown", so patching
-# it off through pruning_off sends every call to the ring BFS.
+# it off through pruning_off sends every call to the rule's BFS over Z.
 SIBLING_TEST = "_siblings_joined"
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from itertools import permutations
 
@@ -361,6 +362,43 @@ def test_center_not_hopeless_when_off_neighbor_has_exactly_m_in_a():
     assert not hopeless
 
 
+def test_center_hopeless_needs_no_connected_alive_set():
+    # Everything alive on edges 0-1, 1-2, 3-4: Z = {2, 3, 4} is split, so
+    # the star (0, (1,)) cuts.  A BFS bounded by Z ∩ N(N(0)) = {2} would call
+    # Z connected and center 0 hopeless.
+    g = build(5, [(0, 1), (1, 2), (3, 4)])
+    engine = _Engine(g, 1, STRUCTURE, SearchOptions())
+    nb = g.masks[0]
+    assert not engine._center_hopeless(0, nb, nb.bit_count(), g.full_mask)
+    assert remainder_is_cut(g, 0b11)
+
+
+def test_center_hopeless_is_sound_on_any_alive_set():
+    # Random alive sets, connected or not.  Without a sibling frame every
+    # verdict comes from the BFS over Z, and wherever the rule says
+    # hopeless, no star at c may cut.
+    rng = random.Random(17)
+    fired = split = 0
+    for g, *_ in connected_corpus(60, max_n=10):
+        for _ in range(8):
+            alive = rng.getrandbits(g.n)
+            split += not mask_connected(g, alive)
+            dead = g.full_mask & ~alive
+            for m in range(4):
+                for kind in (STRUCTURE, SUBSTRUCTURE):
+                    engine = _Engine(g, m, kind, SearchOptions())
+                    for c in bits(alive):
+                        nb = g.masks[c] & alive
+                        if not engine._center_hopeless(c, nb, nb.bit_count(), alive):
+                            continue
+                        fired += 1
+                        for leaves, smask in engine._leaf_sets(c, nb):
+                            assert not remainder_is_cut(g, dead | smask), (
+                                tuple(g.edges()), alive, m, kind, c, leaves
+                            )
+    assert fired > 1000 and split > 100
+
+
 def test_gadget_190_settles_size_1():
     # Every clique center before 149 has neighbors that miss Z; the
     # generalized rule settles each one without scanning its leaf sets.
@@ -425,9 +463,10 @@ def test_center_skip_agrees_with_off_and_oracle(monkeypatch):
 
 
 def test_last_star_sees_a_connected_alive_set(monkeypatch):
-    # The hopeless-center rule stops its BFS at the ring Z ∩ N(N(c)), which
-    # is sound only while G[alive] is connected when the last star is placed,
-    # that is at every search node with one slot left.
+    # Iterative deepening rules out every smaller family first, so G[alive]
+    # is connected at every search node with one slot left.  No proof relies
+    # on it, since the hopeless rule is sound on any alive set; the test pins
+    # it as a property of the search order.
     calls = 0
     search = _Engine.search
 
@@ -473,7 +512,7 @@ def _tally(monkeypatch, owner, name):
 
 
 def test_sibling_test_changes_no_result(monkeypatch):
-    # Each True answer is a ring BFS the shared test skipped.
+    # Each True answer is a BFS over Z the shared test skipped.
     shared = _tally(monkeypatch, _Engine, SIBLING_TEST)
 
     def same(g, m, kind, t_max, opts):
@@ -499,13 +538,30 @@ def test_sibling_test_changes_no_result(monkeypatch):
     assert shared["true"] > 1000
 
 
+def _z_bfs(monkeypatch):
+    """Count the hopeless rule's own BFS over Z.
+
+    solver.mask_connected also serves the sibling test's Zmin check and the
+    input check of every solve; only calls from _center_hopeless count.
+    """
+    tally = {"calls": 0}
+    fn = solver.mask_connected
+
+    def counting(g, mask):
+        tally["calls"] += sys._getframe(1).f_code.co_name == "_center_hopeless"
+        return fn(g, mask)
+
+    monkeypatch.setattr(solver, "mask_connected", counting)
+    return tally
+
+
 def _sibling_verdict(monkeypatch, n, edges, c1, leaves, c):
-    """(hopeless verdict, ring BFS runs) at center c under a first star at c1.
+    """(hopeless verdict, BFS runs over Z) at center c under a first star at c1.
 
     Opens the slots == 2 frame that the search opens for c1 on the whole
     vertex set, then asks the rule about c with the star removed (M = 1).
     """
-    bfs = _tally(monkeypatch, solver, "mask_reaches")
+    bfs = _z_bfs(monkeypatch)
     g = build(n, edges)
     engine = _Engine(g, 1, STRUCTURE, SearchOptions())
     engine._open_frame(g.full_mask, c1)
@@ -549,8 +605,8 @@ def test_sibling_test_skips_the_bfs_for_every_sibling(monkeypatch):
 
 
 def test_sibling_test_is_unknown_without_a_frame(monkeypatch):
-    # Size 1 has no slots == 2 frame, so every Z goes through the ring BFS.
-    bfs = _tally(monkeypatch, solver, "mask_reaches")
+    # Size 1 has no slots == 2 frame, so every Z goes through the rule's BFS.
+    bfs = _z_bfs(monkeypatch)
     shared = _tally(monkeypatch, _Engine, SIBLING_TEST)
     res = structure_connectivity(hypercube(4), 1, 1)
     assert (res.value, res.bound, res.complete) == (None, 1, True)
