@@ -10,12 +10,12 @@ pass per size.  Families are sets, so each one is enumerated exactly once by
 requiring strictly increasing center ids.  Centers and leaves are tried in
 increasing id order, so the first family a pass finds is the
 lexicographically least one and serves directly as the certificate.  One
-recursive node, _Engine.search, serves every level: with slots >= 1 free it
+recursive node, _Engine.search, serves every level: with slots >= 2 free it
 tries each center above the last placed one and recurses below each of its
-stars, and at slots == 0 it tests whether the placed family cuts.  The
-caller's time_limit bounds the whole call: the deadline is polled on entry
-to every node, so once per leaf set tested, and at every center a node
-tries.
+stars, and with one slot left it places the last star and tests each of its
+leaf sets in place.  The caller's time_limit bounds the whole call: the
+deadline is polled on entry to every node, at every center a node tries,
+and once per leaf set tested.
 
 Two pruning rules and a memo cut the search; each stays because switching
 it off was measured to slow the benchmark down, and none changes values or
@@ -23,23 +23,35 @@ certificates.  The minimum-degree bound rules out a subtree whose alive set
 has no vertex of low enough degree to sit in the smallest remaining
 component; the hopeless-center rule (below) settles a last-level center
 without trying its leaf sets; memo_tau remembers, per alive set, the
-centers already ruled out at the last level.  The rule's test that Z is
-connected is shared between sibling leaf sets (the sibling lemma below); the
-shared test only proves what the rule's own BFS would find, so it changes
-no verdict, value or certificate.
+centers already ruled out at the last level.  The rule and the test of
+each last star rest on the local cut lemma.
 
 Complete graphs need no rule of their own.  The last star is placed only
 after the degree bound ran with one slot, and an alive clique on s >= m+3
 vertices has every degree s-1 with 2(s-1) > s+m-1, so the bound fires
 first.
 
-A center c is hopeless when Z, the alive set outside N[c], is connected, the
-remainder keeps >= 2 vertices, and every alive neighbor of c either touches
-Z or has more than m neighbors among those that do: a star at c removes at
-most m of them, so every surviving neighbor still reaches Z.  The argument
-asks nothing else of the alive set, so the rule is sound wherever it is
-asked.  A BFS over Z tests that Z is connected, unless the sibling lemma has
-proved it already:
+Local cut lemma: fix a last-level center c with alive neighbors nb, let Z
+be the alive set outside N[c], touch the vertices of nb with a neighbor in
+Z, and off = nb - touch.  If Z is nonempty and connected, a star with
+leaves L cuts iff some vertex of off - L reaches no vertex of touch - L
+inside G[nb - L], or |Z| = 1 and L = nb.
+- The remainder R is Z + (nb - L).  A path in G[R] from u in nb - L into Z
+  runs inside nb - L until its first vertex of Z, and the vertex before
+  that is in touch - L.  So u lies in Z's component iff it reaches touch -
+  L inside G[nb - L], and every vertex of touch - L does.  R is connected
+  iff every vertex of off - L does.
+- A connected R is a cut only if it is trivial, and |R| >= |Z| >= 1, so
+  only R = Z = {z} with L = nb.  That one vertex is trivial under both
+  strict_trivial settings.
+The search asks the first clause alone, and hands a center to
+remainder_is_cut, one whole-graph test per leaf set, when Z is empty or
+disconnected or when |Z| = 1 and deg(c) <= m, the only case where L = nb
+can occur.  The hopeless rule is the lemma's sufficient half: L removes at
+most m vertices of touch, so if every off vertex has more than m neighbors
+in touch, none is left stranded and no star at c cuts.  Z's connectivity is
+found once per center, by a BFS over Z unless the sibling lemma proved it,
+which changes no verdict:
 - Sibling lemma: at size t >= 2 every last star sits in a slots == 2 frame,
   alive set P with a first star at c1 whose leaves L1 lie in N_P(c1).  For a
   later center c, Z(L1) = Zmin + (attach - L1) with Zmin = P - N_P[c1] -
@@ -92,8 +104,8 @@ prunes its centers with it.  Two limits hold:
   against 0.09 s.
 - No leaf pruning at slots == 2.  A variant that pruned there took 0.12 s
   per hypercube bench pass against 0.09 s.
-On Q6 with M=1 the size-5 solve takes 2.0 s (structure) and 6.9 s
-(substructure) on a 2-vCPU VM.  The automorphisms come from
+On Q6 with M=1 the size-5 solve takes 2.0 s (structure) and 5.1 s
+(substructure), best of four on a 2-vCPU VM.  The automorphisms come from
 starcut.symmetry, which finds and verifies them lazily, one Orbits object
 per coloring, and only on regular graphs.
 
@@ -225,41 +237,53 @@ class _Engine:
                 return False
         return True
 
-    def _center_hopeless(self, c: int, nb: int, deg: int, alive: int) -> bool:
-        # Z = alive vertices out of the star's reach; A = alive neighbors of
-        # c that touch Z.  Suppose Z is connected and the remainder is forced
-        # to keep >= 2 vertices.  A star at c removes at most m vertices of
-        # A, so every surviving vertex of A hangs onto Z, and so does every
-        # other neighbor with more than m neighbors in A.  If that covers
-        # all neighbors, no star at c can cut.
-        # The sibling lemma (module docstring) may prove Z connected first;
-        # that skips the BFS over Z and returns the True the BFS would return.
-        z = alive & ~nb & ~(1 << c)
-        if not z:
-            return False
-        m = self.m
-        leftover = deg - m if deg > m else 0
-        if z.bit_count() + leftover < 2:
-            return False
-        masks = self.g.masks
-        off = 0
-        rest = nb
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            row = masks[bit.bit_length() - 1]
-            if not row & z:
-                # Too few neighbors even in all of N(c), let alone in A.
-                if (row & nb).bit_count() <= m:
-                    return False
-                off |= bit
-        touch = nb & ~off
+    def _center_hopeless(self, touch: int, off: int) -> bool:
+        # The local cut lemma's sufficient half (module docstring).
+        masks, m = self.g.masks, self.m
         while off:
             bit = off & -off
             off ^= bit
             if (masks[bit.bit_length() - 1] & touch).bit_count() <= m:
                 return False
-        return self._siblings_joined(c) or mask_connected(self.g, z)
+        return True
+
+    def _last_star(self, c: int, nb: int, alive: int) -> tuple[int, ...] | None:
+        """The first leaves of _leaf_sets(c, nb) whose star cuts alive, or None."""
+        g = self.g
+        masks = g.masks
+        z = alive & ~nb & ~(1 << c)
+        # Does the local cut lemma decide here (module docstring)?
+        local = z and (z & (z - 1) or nb.bit_count() > self.m) and (
+            self.joined >> c & 1 or self._siblings_joined(c) or mask_connected(g, z)
+        )
+        if local:
+            off = 0
+            rest = nb
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if not masks[bit.bit_length() - 1] & z:
+                    off |= bit
+            touch = nb & ~off
+            if self._center_hopeless(touch, off):
+                return None
+        dead = g.full_mask & ~alive
+        for leaves, smask in self._leaf_sets(c, nb):
+            self._check_deadline()
+            if local:
+                left = off & ~smask
+                todo = touch & ~smask
+                while left and todo:
+                    v = todo.bit_length() - 1
+                    todo ^= 1 << v
+                    hit = masks[v] & left
+                    left ^= hit
+                    todo |= hit
+                if left:
+                    return leaves
+            elif remainder_is_cut(g, dead | smask, strict_trivial=self.opts.strict_trivial):
+                return leaves
+        return None
 
     def _open_frame(self, alive: int, c1: int) -> None:
         """Enter a slots == 2 frame: every last star now sees alive minus a star at c1."""
@@ -268,12 +292,10 @@ class _Engine:
         self.joined = self.split = 0
 
     def _siblings_joined(self, c: int) -> bool:
-        # The sibling lemma (module docstring), tested once per (c1, c): True
-        # proves Z connected for every leaf set of the first star at c1.
-        # False means only "unknown": the caller runs its BFS over Z.
+        # The sibling lemma (module docstring), tested once per (c1, c), as
+        # the caller reads joined first.  True proves Z connected for every
+        # leaf set of the first star at c1; False means only "unknown".
         cbit = 1 << c
-        if self.joined & cbit:
-            return True
         if self.split & cbit or self.frame is None:
             return False
         rest, attach = self.frame
@@ -374,21 +396,18 @@ class _Engine:
     ) -> list[Star] | None:
         """The least `slots` stars centered above pmax that cut `alive`.
 
-        At slots == 0 every star is placed and the node tests the cut.
-        Otherwise it tries each center above pmax and recurses below each of
-        its stars.  A slots == 1 node also consults and tightens memo_tau
-        and applies the hopeless rule; a slots == 2 node opens the sibling
-        frame.  orbits answers under the automorphisms that keep the placed
-        stars, its cells (stabilizer lemma).  Given one, the node skips the
-        centers that follow a smaller vertex; with slots >= 3 it also skips
-        leaves and hands each child the stabilizer of its cells plus that
-        star.  The module docstring says why no other level prunes by it.
+        The node tries each center above pmax.  A slots == 1 node consults
+        and tightens memo_tau and asks _last_star at each center; others
+        recurse below each of its stars, and a slots == 2 node opens the
+        sibling frame.  orbits answers under the automorphisms that keep the
+        placed stars, its cells (stabilizer lemma).  Given one, the node
+        skips the centers that follow a smaller vertex; with slots >= 3 it
+        also skips leaves and hands each child the stabilizer of its cells
+        plus that star.  The module docstring says why no other level
+        prunes by it.
         """
         self._check_deadline()
         g = self.g
-        if not slots:
-            dead = g.full_mask & ~alive
-            return [] if remainder_is_cut(g, dead, strict_trivial=self.opts.strict_trivial) else None
         if self._degree_bound_miss(alive, slots):
             return None
         tau = g.n - 1
@@ -404,12 +423,14 @@ class _Engine:
             if not alive & cbit:
                 continue
             nb = masks[c] & alive
-            deg = nb.bit_count()
-            if self.exact and deg < m:
+            if self.exact and nb.bit_count() < m:
                 continue
             if orbits and orbits.follows(c):
                 continue
-            if slots == 1 and self._center_hopeless(c, nb, deg, alive):
+            if slots == 1:
+                leaves = self._last_star(c, nb, alive)
+                if leaves is not None:
+                    return [Star(c, leaves)]
                 continue
             if slots == 2:
                 self._open_frame(alive, c)

@@ -18,9 +18,9 @@ from starcut.solver import _Engine
 # one.  So patching each to return False switches that rule off.
 PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless", "_orbits")
 
-# The hopeless-center rule's shared Z test, one per pair of centers, which
-# answers for every sibling leaf set.  Its False means "unknown", so patching
-# it off through pruning_off sends every call to the rule's BFS over Z.
+# The last level's shared Z test, one per pair of centers, which answers for
+# every sibling leaf set.  Its False means "unknown", so patching it off
+# through pruning_off sends every center to the BFS over Z in _last_star.
 SIBLING_TEST = "_siblings_joined"
 
 

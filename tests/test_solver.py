@@ -324,8 +324,9 @@ def test_time_limit_bounds_the_whole_call():
 
 def test_time_limit_stops_the_leaf_set_scan():
     # On this 310-vertex gadget the hopeless rule settles few size-1 centers,
-    # so the search spends its time scanning leaf sets at one center; only
-    # the poll inside that scan can stop it on time.
+    # and the scan of center 19 tests about 1.7M leaf sets, about 3 s even
+    # with the local cut test; only the poll inside that scan can stop it
+    # on time.
     red = reduce_3dm(gen_random_3dm(4, 3, True, 0), 6, allow_unrestricted=True)
     opts = SearchOptions(time_limit=0.3)
     t0 = time.monotonic()
@@ -335,7 +336,29 @@ def test_time_limit_stops_the_leaf_set_scan():
     assert elapsed < 0.4
 
 
+def test_m6_gadgets_finish_with_the_forced_leaf_set():
+    # At center 19, 42 of the 49 neighbors miss Z and form a clique whose
+    # neighbors in N(19) are 20..25, exactly M of them, so the local cut
+    # lemma forces those leaves.  Each scan still tests every leaf set that
+    # precedes them.
+    for planted, seed in ((True, 0), (False, 1)):
+        red = reduce_3dm(gen_random_3dm(4, 3, planted, seed), 6, allow_unrestricted=True)
+        res = structure_connectivity(red.graph, red.m, red.parameter, SearchOptions(time_limit=30))
+        assert (res.value, res.complete) == (1, True)
+        assert res.certificate.elements == (Star(19, (20, 21, 22, 23, 24, 25)),)
+
+
 # -- the hopeless-center rule -------------------------------------------------
+
+
+def _hopeless(engine, c, alive):
+    """True when the hopeless rule settles center c: its leaf sets are never scanned."""
+    scans = []
+    engine._leaf_sets = lambda *args: scans.append(args) or iter(())
+    nb = engine.g.masks[c] & alive
+    engine._last_star(c, nb, alive)
+    del engine._leaf_sets
+    return not scans
 
 
 def _hopeless_fixture(v_edges):
@@ -345,8 +368,7 @@ def _hopeless_fixture(v_edges):
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (5, 6), (4, 1), (4, 2)]
     g = build(7, edges + [(3, w) for w in v_edges])
     engine = _Engine(g, 1, STRUCTURE, SearchOptions())
-    nb = g.masks[0]
-    return g, engine._center_hopeless(0, nb, nb.bit_count(), g.full_mask)
+    return g, _hopeless(engine, 0, g.full_mask)
 
 
 def test_center_hopeless_when_off_neighbor_has_m_plus_1_in_a():
@@ -368,8 +390,7 @@ def test_center_hopeless_needs_no_connected_alive_set():
     # Z connected and center 0 hopeless.
     g = build(5, [(0, 1), (1, 2), (3, 4)])
     engine = _Engine(g, 1, STRUCTURE, SearchOptions())
-    nb = g.masks[0]
-    assert not engine._center_hopeless(0, nb, nb.bit_count(), g.full_mask)
+    assert not _hopeless(engine, 0, g.full_mask)
     assert remainder_is_cut(g, 0b11)
 
 
@@ -388,10 +409,10 @@ def test_center_hopeless_is_sound_on_any_alive_set():
                 for kind in (STRUCTURE, SUBSTRUCTURE):
                     engine = _Engine(g, m, kind, SearchOptions())
                     for c in bits(alive):
-                        nb = g.masks[c] & alive
-                        if not engine._center_hopeless(c, nb, nb.bit_count(), alive):
+                        if not _hopeless(engine, c, alive):
                             continue
                         fired += 1
+                        nb = g.masks[c] & alive
                         for leaves, smask in engine._leaf_sets(c, nb):
                             assert not remainder_is_cut(g, dead | smask), (
                                 tuple(g.edges()), alive, m, kind, c, leaves
@@ -412,7 +433,8 @@ def test_deadline_is_polled_at_every_center(monkeypatch):
     # The hopeless rule settles the size-1 centers of this gadget without a
     # leaf scan, so no leaf-set test polls for them.  Each center the root
     # visits, 0 up to the certificate's 149, must poll on its own, on top of
-    # the one poll at every node entry.
+    # the one poll at every node entry.  Leaf sets are tested in place, so
+    # the root is the only node.
     polls = nodes = 0
     poll, search = _Engine._check_deadline, _Engine.search
 
@@ -431,7 +453,7 @@ def test_deadline_is_polled_at_every_center(monkeypatch):
     red = reduce_3dm(gen_random_3dm(3, 4, True, 1), 5, allow_unrestricted=True)
     res = structure_connectivity(red.graph, red.m, 3)
     (last,) = res.certificate.elements
-    assert nodes < 10  # the root and the few leaf sets the rule left to test
+    assert nodes < 10
     assert polls - nodes >= last.center + 1
 
 
@@ -441,11 +463,10 @@ def test_center_skip_agrees_with_off_and_oracle(monkeypatch):
     fired = 0
     rule = _Engine._center_hopeless
 
-    def counting(self, c, nb, deg, alive):
+    def counting(self, touch, off):
         nonlocal fired
-        got = rule(self, c, nb, deg, alive)
-        z = alive & ~nb & ~(1 << c)
-        if got and any(not self.g.masks[v] & z for v in bits(nb)):
+        got = rule(self, touch, off)
+        if got and off:
             fired += 1
         return got
 
@@ -491,6 +512,83 @@ def test_last_star_sees_a_connected_alive_set(monkeypatch):
                     with pruning_off(*rules):
                         fn(g, m, g.n, opts)
     assert calls > 1000
+
+
+# -- the local cut test -------------------------------------------------------
+
+
+def _verdicts(engine, c, alive):
+    """(local, [(smask, verdict), ...]) over the leaf sets of _leaf_sets(c, nb).
+
+    Each verdict is _last_star's own, asked about that leaf set alone with
+    the hopeless rule off.  The rule is asked only where the local cut test
+    applies, so local records whether it gave the verdicts.
+    """
+    nb = engine.g.masks[c] & alive
+    asked = []
+    engine._center_hopeless = lambda *split: asked.append(split) or False
+    out = []
+    for one in list(engine._leaf_sets(c, nb)):
+        engine._leaf_sets = lambda *_: iter([one])
+        out.append((one[1], engine._last_star(c, nb, alive) is not None))
+        del engine._leaf_sets
+    del engine._center_hopeless
+    return bool(asked), out
+
+
+def test_local_cut_test_agrees_with_remainder_is_cut():
+    # Random alive sets, connected or not, so Z comes out empty, split and
+    # connected.  Every leaf set's verdict must be remainder_is_cut's.
+    rng = random.Random(18)
+    tested = stranded = 0
+    for g, *_ in connected_corpus(60, max_n=10):
+        for _ in range(8):
+            alive = rng.getrandbits(g.n)
+            dead = g.full_mask & ~alive
+            for m in range(4):
+                for kind in (STRUCTURE, SUBSTRUCTURE):
+                    for opts in _VARIANTS:
+                        engine = _Engine(g, m, kind, opts)
+                        strict = opts.strict_trivial
+                        for c in bits(alive):
+                            local, verdicts = _verdicts(engine, c, alive)
+                            for smask, cut in verdicts:
+                                assert cut == remainder_is_cut(
+                                    g, dead | smask, strict_trivial=strict
+                                ), (tuple(g.edges()), alive, m, kind, opts, c, smask)
+                                tested += local
+                                stranded += local and cut
+    assert tested > 20000 and stranded > 5000
+
+
+# Center 0 of each fixture, every vertex alive, substructure leaf sets in
+# _leaf_sets order; want holds the verdicts without and with strict_trivial.
+@pytest.mark.parametrize(
+    "n,edges,m,local,want",
+    [
+        # Z = {3} and deg(0) = M, so L = nb = {1, 2} leaves 3 alone.
+        (4, [(0, 1), (0, 2), (1, 3), (2, 3)], 2, False, ((0, 0, 1, 0), (0, 0, 1, 0))),
+        # The same Z = {3} with M = 1 < deg(0): no L takes all of nb.
+        (4, [(0, 1), (0, 2), (1, 3), (2, 3)], 1, True, ((0, 0, 0), (0, 0, 0))),
+        # Z is empty: the remainder is nb - L, with 3 isolated from {1, 2}.
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2)], 2, False,
+         ((1, 1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1, 0))),
+        # Z is empty and L = nb removes everything: trivial only by default.
+        (3, [(0, 1), (0, 2)], 2, False, ((1, 1, 1, 1), (1, 1, 0, 1))),
+        # Z = {2, 4} is split, but 1 joins its halves unless L takes it.
+        (5, [(0, 1), (0, 3), (1, 2), (1, 4), (3, 4)], 2, False, ((0, 1, 1, 0), (0, 1, 1, 0))),
+    ],
+    ids=["single_z_all_of_nb", "single_z_local", "z_empty", "z_empty_nothing_left", "z_split"],
+)
+def test_local_cut_test_fixtures(n, edges, m, local, want):
+    g = build(n, edges)
+    for strict, expect in zip((False, True), want, strict=True):
+        engine = _Engine(g, m, SUBSTRUCTURE, SearchOptions(strict_trivial=strict))
+        got, verdicts = _verdicts(engine, 0, g.full_mask)
+        assert got == local
+        assert tuple(int(cut) for _, cut in verdicts) == expect
+        for smask, cut in verdicts:
+            assert cut == remainder_is_cut(g, smask, strict_trivial=strict)
 
 
 # -- the shared sibling test ----------------------------------------------------
@@ -539,16 +637,16 @@ def test_sibling_test_changes_no_result(monkeypatch):
 
 
 def _z_bfs(monkeypatch):
-    """Count the hopeless rule's own BFS over Z.
+    """Count the last-level BFS over Z, which the hopeless rule relies on.
 
     solver.mask_connected also serves the sibling test's Zmin check and the
-    input check of every solve; only calls from _center_hopeless count.
+    input check of every solve; only calls from _last_star count.
     """
     tally = {"calls": 0}
     fn = solver.mask_connected
 
     def counting(g, mask):
-        tally["calls"] += sys._getframe(1).f_code.co_name == "_center_hopeless"
+        tally["calls"] += sys._getframe(1).f_code.co_name == "_last_star"
         return fn(g, mask)
 
     monkeypatch.setattr(solver, "mask_connected", counting)
@@ -568,8 +666,7 @@ def _sibling_verdict(monkeypatch, n, edges, c1, leaves, c):
     alive = g.full_mask & ~(1 << c1)
     for leaf in leaves:
         alive &= ~(1 << leaf)
-    nb = g.masks[c] & alive
-    return engine._center_hopeless(c, nb, nb.bit_count(), alive), bfs["calls"]
+    return _hopeless(engine, c, alive), bfs["calls"]
 
 
 # First star at 0 with leaves among {1, 2}; the later center is 3, whose
