@@ -16,6 +16,8 @@ roles   one line `v <id> <tag> <i> [<j>]` per vertex, ids consecutive from 1.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .cuts import STRUCTURE, SUBSTRUCTURE, CutFamily, Star
 from .graph import Graph, build
 from .npsolve import ThreeDMInstance
@@ -64,7 +66,9 @@ def parse_graph(text: str) -> Graph:
     if n < 0 or m < 0:
         raise ParseError(line_no, "counts must be nonnegative")
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    # Edge {u, v} with u < v has key u * stride + v.
+    seen: set[int] = set()
+    stride = n + 1
     last = line_no
     for line_no, toks in lines:
         last = line_no
@@ -74,13 +78,18 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(line_no, f"more than the declared {m} edges")
         if len(toks) != 3:
             raise ParseError(line_no, "expected `e <u> <v>`")
-        u = _int_token(toks[1], line_no, "endpoint")
-        v = _int_token(toks[2], line_no, "endpoint")
+        # int() inline for speed; _int_token only words the error.
+        try:
+            u = int(toks[1])
+            v = int(toks[2])
+        except ValueError:
+            u = _int_token(toks[1], line_no, "endpoint")
+            v = _int_token(toks[2], line_no, "endpoint")
         if u == v:
             raise ParseError(line_no, f"self-loop at vertex {u}")
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(line_no, f"endpoint out of range 1..{n}")
-        key = (min(u, v), max(u, v))
+        key = u * stride + v if u < v else v * stride + u
         if key in seen:
             raise ParseError(line_no, f"duplicate edge {u} {v}")
         seen.add(key)
@@ -90,10 +99,21 @@ def parse_graph(text: str) -> Graph:
     return build(n, edges)
 
 
+# Maps the digits of bin() to the 0/1 bytes that itertools.compress selects by.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def write_graph(g: Graph) -> str:
+    # One join per row: the binary digits of u's row above u, least first,
+    # select the 1-based ids of u's later neighbors, in increasing order.
+    ids = [str(v) for v in range(g.n + 1)]
     out = [f"p edge {g.n} {g.edge_count}"]
-    for u, v in g.edges():
-        out.append(f"e {u + 1} {v + 1}")
+    for u, row in enumerate(g.masks, 1):
+        above = row >> u
+        if above:
+            head = f"e {u} "
+            picks = bin(above)[:1:-1].encode().translate(_DIGIT_BITS)
+            out.append(head + ("\n" + head).join(compress(ids[u + 1:], picks)))
     return "\n".join(out) + "\n"
 
 

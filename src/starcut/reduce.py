@@ -150,21 +150,22 @@ def reduce_3dm(
         for k, triple in enumerate(inst.triples)
         for slot in element_slots(n, triple)
     ]
+    cliques = []
     for j in range(m - 3):
         lo = base_cliq + j * clique_size
-        edges.extend(_clique_edges(lo, clique_size))
+        cliques.append((lo, clique_size))
         for k in range(t):
             edges.append((k, lo + k))
     for l in range(3 * n):
         lo = base_blocks + l * m
-        edges.extend(_clique_edges(lo, m))
+        cliques.append((lo, m))
         edges.append((base_elem + l, lo + m - 1))
-    edges.extend(_clique_edges(base_tail, 3 * n * m))
+    cliques.append((base_tail, 3 * n * m))
     for i in range(3 * n * m):
         edges.append((base_blocks + i, base_tail + i))
 
     red = ReducedInstance(
-        graph=build(total, edges),
+        graph=_join_cliques(build(total, edges), cliques),
         roles=tuple(roles),
         parameter=n,
         m=m,
@@ -174,8 +175,18 @@ def reduce_3dm(
     return red
 
 
-def _clique_edges(lo: int, size: int) -> list[tuple[int, int]]:
-    return [(lo + a, lo + b) for a in range(size) for b in range(a + 1, size)]
+def _join_cliques(g: Graph, cliques: list[tuple[int, int]]) -> Graph:
+    """g plus a clique on the ids lo..lo+size-1 of each (lo, size).
+
+    Cliques hold most of a gadget's edges, so each is written into its
+    vertices' rows as one mask rather than passed to build() edge by edge.
+    """
+    masks = list(g.masks)
+    for lo, size in cliques:
+        span = ((1 << size) - 1) << lo
+        for v in range(lo, lo + size):
+            masks[v] |= span ^ (1 << v)
+    return Graph(masks)
 
 
 def audit_reduced_3dm(red: ReducedInstance) -> None:
@@ -297,15 +308,16 @@ def reduce_vertex_cover(inst: VertexCoverInstance) -> ReducedInstance:
     k = inst.k
     roles: list[VertexRole] = [VertexRole(ORIG, i + 1) for i in range(n)]
     edges: list[tuple[int, int]] = list(g.edges())
+    cliques = []
     for j in range(1, k + 3):
         lo = n * j
-        edges.extend(_clique_edges(lo, n))
+        cliques.append((lo, n))
         for i in range(n):
             edges.append((i, lo + i))
         for i in range(1, n + 1):
             roles.append(VertexRole(CLIQ, i, j))
     red = ReducedInstance(
-        graph=build(n * (k + 3), edges),
+        graph=_join_cliques(build(n * (k + 3), edges), cliques),
         roles=tuple(roles),
         parameter=k,
         m=delta,

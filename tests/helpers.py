@@ -1,7 +1,7 @@
 """Shared test utilities: brute-force vertex connectivity and domination
-references, seeded graph corpora, exhaustive small-graph enumeration, and a
-switch that turns the solver's pruning rules and its shared sibling test
-off."""
+references, edge-list references for both gadgets, seeded graph corpora,
+exhaustive small-graph enumeration, and a switch that turns the solver's
+pruning rules and its shared sibling test off."""
 
 from __future__ import annotations
 
@@ -9,7 +9,23 @@ from contextlib import ExitStack, contextmanager
 from itertools import combinations, permutations, product
 from unittest.mock import patch
 
-from starcut import Graph, build, gen_random_graph, is_connected, mask_connected
+from starcut import (
+    CLIQ,
+    ELEM,
+    ORIG,
+    TRIPLE,
+    UBLK,
+    UPRM,
+    Graph,
+    ThreeDMInstance,
+    VertexCoverInstance,
+    VertexRole,
+    build,
+    gen_random_3dm,
+    gen_random_graph,
+    is_connected,
+    mask_connected,
+)
 from starcut.solver import _Engine
 
 # The solver's prune rules.  The predicates return True to rule a subtree
@@ -58,6 +74,69 @@ def domination_number(g: Graph, within: int) -> int:
             if covered & within == within:
                 return size
     raise AssertionError("within names a vertex outside g")
+
+
+def edge_list_3dm_gadget(inst: ThreeDMInstance, m: int) -> tuple[Graph, tuple]:
+    """(graph, roles) of the matching gadget as the reduce_3dm docstring lays
+    it out, every clique written as its edge pairs and passed to build()."""
+    t, n = len(inst.triples), inst.n
+    size = (m + 1) * t
+    elems = range(t, t + 3 * n)
+    base = t + 3 * n
+    cliques = [range(base + j * size, base + (j + 1) * size) for j in range(m - 3)]
+    base += (m - 3) * size
+    blocks = [range(base + l * m, base + (l + 1) * m) for l in range(3 * n)]
+    tail = range(base + 3 * n * m, base + 6 * n * m)
+    edges = []
+    for k, (r, b, y) in enumerate(inst.triples):
+        edges += [(k, elems[r - 1]), (k, elems[n + b - 1]), (k, elems[2 * n + y - 1])]
+    for clique in cliques:
+        edges += combinations(clique, 2)
+        edges += [(k, clique[k]) for k in range(t)]
+    for l, block in enumerate(blocks):
+        edges += combinations(block, 2)
+        edges.append((elems[l], block[-1]))
+    edges += combinations(tail, 2)
+    edges += zip([v for block in blocks for v in block], tail)
+    roles = (
+        [VertexRole(TRIPLE, k) for k in range(1, t + 1)]
+        + [VertexRole(ELEM, l) for l in range(1, 3 * n + 1)]
+        + [VertexRole(CLIQ, i, j) for j in range(1, m - 2) for i in range(1, size + 1)]
+        + [VertexRole(UBLK, i, l) for l in range(1, 3 * n + 1) for i in range(1, m + 1)]
+        + [VertexRole(UPRM, i) for i in range(1, 3 * n * m + 1)]
+    )
+    return build(tail.stop, edges), tuple(roles)
+
+
+def edge_list_vc_gadget(inst: VertexCoverInstance) -> tuple[Graph, tuple]:
+    """(graph, roles) of the cover gadget as the reduce_vertex_cover docstring
+    lays it out, every clique written as its edge pairs and passed to build()."""
+    g, k = inst.graph, inst.k
+    n = g.n
+    edges = list(g.edges())
+    roles = [VertexRole(ORIG, i) for i in range(1, n + 1)]
+    for j in range(1, k + 3):
+        clique = range(n * j, n * (j + 1))
+        edges += combinations(clique, 2)
+        edges += zip(range(n), clique)
+        roles += [VertexRole(CLIQ, i, j) for i in range(1, n + 1)]
+    return build(n * (k + 3), edges), tuple(roles)
+
+
+def matching_gadget_sources():
+    """The 171 (instance, m) pairs of the seeded matching-gadget survey:
+    n 1..4, 0..2 extra triples, solvable or not, seeds 0..2, m 5..7."""
+    out = []
+    for n in (1, 2, 3, 4):
+        for extra in (0, 1, 2):
+            for solvable in (True, False):
+                for seed in range(3):
+                    try:
+                        inst = gen_random_3dm(n, extra, solvable, seed)
+                    except ValueError:
+                        continue  # no such instance under the occurrence cap
+                    out.extend((inst, m) for m in (5, 6, 7))
+    return out
 
 
 def connected_corpus(count: int, max_n: int = 10, seed0: int = 0):

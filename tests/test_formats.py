@@ -45,6 +45,36 @@ def test_graph_roundtrip(g):
     assert write_graph(parse_graph(text)) == text
 
 
+def _edge_by_edge_text(g):
+    # The writer's reference: one line per edge of Graph.edges().
+    lines = [f"p edge {g.n} {g.edge_count}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n,p,seed",
+    [
+        (0, 0.5, 0),
+        (1, 0.5, 0),
+        (2, 0.0, 0),  # two isolated vertices
+        (9, 0.2, 3),
+        (12, 0.5, 1),
+        (64, 0.1, 5),
+        (65, 0.05, 1),
+        (66, 1.0, 0),  # complete: every row is all ones above u
+        (70, 0.01, 4),  # 35 isolated vertices
+        (100, 0.02, 2),
+        (130, 0.3, 3),
+    ],
+)
+def test_write_graph_equals_the_edge_by_edge_text(n, p, seed):
+    g = gen_random_graph(n, p, seed)
+    text = write_graph(g)
+    assert text == _edge_by_edge_text(g)
+    assert parse_graph(text) == g
+
+
 def test_graph_comments_skipped():
     text = "c a triangle\np edge 3 3\nc the edges\ne 1 2\ne 1 3\ne 2 3\n"
     assert parse_graph(text) == complete(3)

@@ -40,7 +40,12 @@ from starcut import (
     substructure_connectivity,
 )
 
-from helpers import domination_number
+from helpers import (
+    domination_number,
+    edge_list_3dm_gadget,
+    edge_list_vc_gadget,
+    matching_gadget_sources,
+)
 
 ONE = ThreeDMInstance(1, ((1, 1, 1),))
 # every element occurs exactly twice; no perfect matching exists
@@ -188,23 +193,28 @@ def test_every_matching_gadget_has_the_tail_partner_one_cut():
     # gadget, so the gadget is decision-equivalent only when n = 1.
     red = reduce_3dm(gen_random_3dm(3, 4, True, 1), 5, allow_unrestricted=True)
     assert _tail_partner_star(red) == Star(149, (104, 145, 146, 147, 148))
-    instances = []
-    for n in (1, 2, 3, 4):
-        for extra in (0, 1, 2):
-            for solvable in (True, False):
-                for seed in range(3):
-                    try:
-                        instances.append(gen_random_3dm(n, extra, solvable, seed))
-                    except ValueError:
-                        pass  # no such instance under the occurrence cap
     checked = 0
-    for inst in instances:
-        for m in (5, 6, 7):
-            red = reduce_3dm(inst, m, allow_unrestricted=True)
-            cut = CutFamily(STRUCTURE, m, (_tail_partner_star(red),))
-            assert is_structure_cut(red.graph, cut, m), (inst, m)
-            checked += 1
+    for inst, m in matching_gadget_sources():
+        red = reduce_3dm(inst, m, allow_unrestricted=True)
+        cut = CutFamily(STRUCTURE, m, (_tail_partner_star(red),))
+        assert is_structure_cut(red.graph, cut, m), (inst, m)
+        checked += 1
     assert checked == 171
+
+
+def test_complete_search_finds_kappa_one_on_every_matching_gadget():
+    # The same law by exact search: every gadget's least cut is one star,
+    # and each search completes (the slowest in well under 1 s).
+    for inst, m in matching_gadget_sources():
+        red = reduce_3dm(inst, m, allow_unrestricted=True)
+        res = structure_connectivity(red.graph, m, 1, SearchOptions(time_limit=30))
+        assert (res.value, res.complete) == (1, True), (inst, m)
+
+
+def test_matching_gadgets_equal_the_edge_list_layout():
+    for inst, m in matching_gadget_sources():
+        red = reduce_3dm(inst, m, allow_unrestricted=True)
+        assert (red.graph, red.roles) == edge_list_3dm_gadget(inst, m), (inst, m)
 
 
 def test_reduce_vc_layout():
@@ -273,6 +283,21 @@ def test_cover_gadget_value_on_edgeless_sources():
             red = reduce_vertex_cover(VertexCoverInstance(build(n, []), k))
             res = substructure_connectivity(red.graph, red.m, n)
             assert (res.value, res.complete) == (min(n, k + 2), True), (n, k)
+
+
+def test_cover_gadgets_equal_the_edge_list_layout():
+    edgeless = isolated = 0
+    for n in range(2, 9):
+        for k in range(1, n):
+            for p in (0.0, 0.2, 0.5, 0.9):
+                g = gen_random_graph(n, p, 31 * n + k)
+                degrees = [g.degree(v) for v in range(n)]
+                edgeless += not g.edge_count
+                isolated += bool(g.edge_count) and 0 in degrees
+                inst = VertexCoverInstance(g, k)
+                red = reduce_vertex_cover(inst)
+                assert (red.graph, red.roles) == edge_list_vc_gadget(inst), (n, k, p)
+    assert edgeless >= 28 and isolated > 0
 
 
 def test_reduce_vc_m_is_the_max_degree():
