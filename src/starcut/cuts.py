@@ -113,20 +113,18 @@ class CutFamily:
         return len(self.elements)
 
 
+def trivial_remainder(rest: int, strict_trivial: bool = False) -> bool:
+    """True iff the vertex set `rest` is a trivial remainder: at most one
+    vertex, or exactly one under strict_trivial."""
+    return not rest & (rest - 1) and (rest != 0 or not strict_trivial)
+
+
 def remainder_is_cut(
     g: Graph, removed_mask: int, *, strict_trivial: bool = False
 ) -> bool:
     """Cut predicate on a removal mask: disconnected or trivial remainder."""
     rest = g.full_mask & ~removed_mask
-    count = rest.bit_count()
-    if strict_trivial:
-        if count == 1:
-            return True
-        if count == 0:
-            return False
-    elif count <= 1:
-        return True
-    return not mask_connected(g, rest)
+    return trivial_remainder(rest, strict_trivial) or not mask_connected(g, rest)
 
 
 def _is_cut(

@@ -79,22 +79,20 @@ def validate_3dm(inst: ThreeDMInstance) -> bool:
 
 
 def verify_matching(inst: ThreeDMInstance, indices: tuple[int, ...]) -> bool:
-    """Check that `indices` selects n triples covering every element once."""
-    if len(indices) != inst.n or len(set(indices)) != len(indices):
+    """Check that `indices` selects n triples covering every element once.
+
+    n triples that repeat no slot cover all 3n of them; a repeated index
+    repeats all three of its slots.
+    """
+    if len(indices) != inst.n or any(not (0 <= i < len(inst.triples)) for i in indices):
         return False
-    if any(not (0 <= i < len(inst.triples)) for i in indices):
-        return False
-    seen_r: set[int] = set()
-    seen_b: set[int] = set()
-    seen_y: set[int] = set()
+    covered = 0
     for i in indices:
-        r, b, y = inst.triples[i]
-        if r in seen_r or b in seen_b or y in seen_y:
-            return False
-        seen_r.add(r)
-        seen_b.add(b)
-        seen_y.add(y)
-    return len(seen_r) == inst.n and len(seen_b) == inst.n and len(seen_y) == inst.n
+        for slot in element_slots(inst.n, inst.triples[i]):
+            if covered >> slot & 1:
+                return False
+            covered |= 1 << slot
+    return True
 
 
 def solve_3dm(inst: ThreeDMInstance) -> tuple[int, ...] | None:

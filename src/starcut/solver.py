@@ -24,34 +24,34 @@ has no vertex of low enough degree to sit in the smallest remaining
 component; the hopeless-center rule (below) settles a last-level center
 without trying its leaf sets; memo_tau remembers, per alive set, the
 centers already ruled out at the last level.  The rule and the test of
-each last star rest on the local cut lemma.
+each last star rest on the remainder walk.
 
 Complete graphs need no rule of their own.  The last star is placed only
 after the degree bound ran with one slot, and an alive clique on s >= m+3
 vertices has every degree s-1 with 2(s-1) > s+m-1, so the bound fires
 first.
 
-Local cut lemma: fix a last-level center c with alive neighbors nb, let Z
+Remainder walk: fix a last-level center c with alive neighbors nb, let Z
 be the alive set outside N[c], touch the vertices of nb with a neighbor in
-Z, and off = nb - touch.  If Z is nonempty and connected, a star with
-leaves L cuts iff some vertex of off - L reaches no vertex of touch - L
-inside G[nb - L], or |Z| = 1 and L = nb.
-- The remainder R is Z + (nb - L).  A path in G[R] from u in nb - L into Z
-  runs inside nb - L until its first vertex of Z, and the vertex before
-  that is in touch - L.  So u lies in Z's component iff it reaches touch -
-  L inside G[nb - L], and every vertex of touch - L does.  R is connected
-  iff every vertex of off - L does.
-- A connected R is a cut only if it is trivial, and |R| >= |Z| >= 1, so
-  only R = Z = {z} with L = nb.  That one vertex is trivial under both
-  strict_trivial settings.
-The search asks the first clause alone, and hands a center to
-remainder_is_cut, one whole-graph test per leaf set, when Z is empty or
-disconnected or when |Z| = 1 and deg(c) <= m, the only case where L = nb
-can occur.  The hopeless rule is the lemma's sufficient half: L removes at
-most m vertices of touch, so if every off vertex has more than m neighbors
-in touch, none is left stranded and no star at c cuts.  Z's connectivity is
-found once per center, by a BFS over Z unless the sibling lemma proved it,
-which changes no verdict:
+Z, and off = nb - touch.  A star with leaves L leaves R = alive - S = Z +
+(nb - L), and it cuts iff G[R] is disconnected or R is trivial under
+strict_trivial.  _last_star decides each L by one walk over R from a
+connected seed:
+- If Z is nonempty and connected, the seed is Z + (touch - L): each vertex
+  of touch - L has a neighbor in Z.  No vertex of off has one, so a path in
+  G[R] from off - L into Z runs inside nb - L until it enters touch - L.
+  The walk grows from touch - L through off - L alone, and R is connected
+  iff it reaches every vertex of off - L.
+- Otherwise the seed is R's least vertex, and the walk covers R.
+R holds Z, so the trivial test runs only when |Z| <= 1.  The hopeless rule
+is the walk's sufficient half.  Let Z be nonempty and connected.  L removes
+at most m vertices of touch, so if every off vertex has more than m
+neighbors in touch, each vertex of off - L keeps one in touch - L and R is
+connected.  A connected R cuts only if it is trivial, and |R| >= |Z| >= 1,
+so only R = Z = {z} with L = nb, which needs |Z| = 1 and deg(c) <= m.  So
+when |Z| >= 2 or deg(c) > m, the rule settles c: no star there cuts.  Z's
+connectivity is found once per center, by a BFS over Z unless the sibling
+lemma proved it, which changes no verdict:
 - Sibling lemma: at size t >= 2 every last star sits in a slots == 2 frame,
   alive set P with a first star at c1 whose leaves L1 lie in N_P(c1).  For a
   later center c, Z(L1) = Zmin + (attach - L1) with Zmin = P - N_P[c1] -
@@ -112,8 +112,9 @@ per coloring, and only on regular graphs.
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
 partition search.  It shares no search code with the solver beyond the graph
-primitives and the cut and leaf-independence predicates, which is what makes
-the agreement tests meaningful.
+primitives and the trivial-remainder and leaf-independence predicates.  Its
+cut test is remainder_is_cut, which the search never calls, so the agreement
+tests compare two independent connectivity tests.
 """
 
 from __future__ import annotations
@@ -133,6 +134,7 @@ from .cuts import (
     is_substructure_cut,
     leaves_independent,
     remainder_is_cut,
+    trivial_remainder,
 )
 from .graph import Graph, bits, mask_connected
 from .symmetry import Orbits, is_regular
@@ -238,7 +240,7 @@ class _Engine:
         return True
 
     def _center_hopeless(self, touch: int, off: int) -> bool:
-        # The local cut lemma's sufficient half (module docstring).
+        # The remainder walk's sufficient half (module docstring).
         masks, m = self.g.masks, self.m
         while off:
             bit = off & -off
@@ -252,11 +254,11 @@ class _Engine:
         g = self.g
         masks = g.masks
         z = alive & ~nb & ~(1 << c)
-        # Does the local cut lemma decide here (module docstring)?
-        local = z and (z & (z - 1) or nb.bit_count() > self.m) and (
-            self.joined >> c & 1 or self._siblings_joined(c) or mask_connected(g, z)
-        )
-        if local:
+        # R = alive - S holds Z, so R can be trivial only when |Z| <= 1.
+        lone = not z & (z - 1)
+        # Is Z a connected seed for the remainder walk (module docstring)?
+        joined = z and (self.joined >> c & 1 or self._siblings_joined(c) or mask_connected(g, z))
+        if joined:
             off = 0
             rest = nb
             while rest:
@@ -265,23 +267,24 @@ class _Engine:
                 if not masks[bit.bit_length() - 1] & z:
                     off |= bit
             touch = nb & ~off
-            if self._center_hopeless(touch, off):
+            if (not lone or nb.bit_count() > self.m) and self._center_hopeless(touch, off):
                 return None
-        dead = g.full_mask & ~alive
+        strict = self.opts.strict_trivial
         for leaves, smask in self._leaf_sets(c, nb):
             self._check_deadline()
-            if local:
-                left = off & ~smask
-                todo = touch & ~smask
-                while left and todo:
-                    v = todo.bit_length() - 1
-                    todo ^= 1 << v
-                    hit = masks[v] & left
-                    left ^= hit
-                    todo |= hit
-                if left:
-                    return leaves
-            elif remainder_is_cut(g, dead | smask, strict_trivial=self.opts.strict_trivial):
+            if joined:
+                todo, left = touch & ~smask, off & ~smask
+            else:
+                left = alive & ~smask
+                todo = left & -left
+                left ^= todo
+            while left and todo:
+                v = todo.bit_length() - 1
+                todo ^= 1 << v
+                hit = masks[v] & left
+                left ^= hit
+                todo |= hit
+            if left or lone and trivial_remainder(alive & ~smask, strict):
                 return leaves
         return None
 
@@ -527,36 +530,24 @@ def _absorbing_stars(
 ) -> Iterator[tuple[int, int]]:
     """All (center, star mask) choices inside `rem` that contain vertex v.
 
-    Written for clarity over speed: the oracle only runs on capped sizes.
+    Each center c in N[v] is tried in increasing order, with v as a leaf
+    when c != v.  _best_partition passes the least vertex of rem as v, so v
+    itself comes first and is every other star's least leaf.  Written for
+    clarity over speed: the oracle only runs on capped sizes.
     """
     vbit = 1 << v
-    # v as the center
-    cands = bits(masks[v] & rem)
-    sizes = [m] if exact else list(range(0, min(m, len(cands)) + 1))
-    for size in sizes:
-        if size > len(cands):
+    for c in bits((masks[v] | vbit) & rem):
+        lead = () if c == v else (v,)
+        room = m - len(lead)
+        if room < 0:
             continue
-        for combo in combinations(cands, size):
-            if induced and not leaves_independent(masks, combo):
-                continue
-            smask = vbit
-            for leaf in combo:
-                smask |= 1 << leaf
-            yield v, smask
-    # v as a leaf of some center c in rem
-    if m < 1:
-        return
-    for c in bits(masks[v] & rem):
-        cbit = 1 << c
-        others = bits(masks[c] & rem & ~vbit)
-        extra_sizes = [m - 1] if exact else list(range(0, min(m - 1, len(others)) + 1))
-        for size in extra_sizes:
-            if size > len(others):
-                continue
-            for combo in combinations(others, size):
-                if induced and not leaves_independent(masks, (v, *combo)):
+        pool = bits(masks[c] & rem & ~vbit)
+        base = 1 << c | vbit
+        for size in [room] if exact else range(min(room, len(pool)) + 1):
+            for combo in combinations(pool, size):
+                if induced and not leaves_independent(masks, lead + combo):
                     continue
-                smask = cbit | vbit
+                smask = base
                 for leaf in combo:
                     smask |= 1 << leaf
                 yield c, smask

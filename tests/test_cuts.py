@@ -20,6 +20,7 @@ from starcut import (
     path,
     remainder_is_cut,
 )
+from starcut.cuts import trivial_remainder
 
 BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -104,6 +105,14 @@ def test_remainder_is_cut_conventions():
     assert remainder_is_cut(g, 0b111111, strict_trivial=True) is False
     assert remainder_is_cut(g, 0b111110, strict_trivial=True) is True
     assert remainder_is_cut(g, 0b000110) is False  # leaves a connected path
+
+
+def test_trivial_remainder():
+    for strict in (False, True):
+        assert trivial_remainder(0b100, strict) is True
+        assert trivial_remainder(0b101, strict) is False
+    assert trivial_remainder(0) is True
+    assert trivial_remainder(0, strict_trivial=True) is False
 
 
 def test_subgraph_cut_on_path_middle():

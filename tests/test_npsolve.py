@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +58,27 @@ def test_verify_matching():
     assert not verify_matching(inst, (0,))
     assert not verify_matching(inst, (0, 0))
     assert not verify_matching(inst, (0, 9))
+    assert not verify_matching(inst, (-1, 1))
+    # Distinct indices of one repeated triple cover its slots twice.
+    dup = ThreeDMInstance(1, ((1, 1, 1), (1, 1, 1)))
+    assert verify_matching(dup, (1,)) and not verify_matching(dup, (0, 1))
+
+
+def test_verify_matching_agrees_with_an_element_count():
+    # Every index tuple of length 1..3 over eight triples on n = 2, against
+    # "each of R, B, Y is hit exactly once per element".
+    triples = ((1, 1, 1), (2, 2, 2), (1, 2, 2), (2, 1, 1), (2, 1, 2), (1, 1, 2),
+               (2, 2, 1), (1, 1, 1))
+    inst = ThreeDMInstance(2, triples)
+    accepted = 0
+    for size in (1, 2, 3):
+        for indices in product(range(-1, len(triples) + 1), repeat=size):
+            ok = size == 2 and all(0 <= i < len(triples) for i in indices) and all(
+                sorted(triples[i][axis] for i in indices) == [1, 2] for axis in range(3)
+            )
+            assert verify_matching(inst, indices) == ok, indices
+            accepted += ok
+    assert accepted == 8
 
 
 def test_solve_3dm_n1():

@@ -325,7 +325,7 @@ def test_time_limit_bounds_the_whole_call():
 def test_time_limit_stops_the_leaf_set_scan():
     # On this 310-vertex gadget the hopeless rule settles few size-1 centers,
     # and the scan of center 19 tests about 1.7M leaf sets, about 3 s even
-    # with the local cut test; only the poll inside that scan can stop it
+    # with the walk inside N(19); only the poll inside that scan can stop it
     # on time.
     red = reduce_3dm(gen_random_3dm(4, 3, True, 0), 6, allow_unrestricted=True)
     opts = SearchOptions(time_limit=0.3)
@@ -338,9 +338,9 @@ def test_time_limit_stops_the_leaf_set_scan():
 
 def test_m6_gadgets_finish_with_the_forced_leaf_set():
     # At center 19, 42 of the 49 neighbors miss Z and form a clique whose
-    # neighbors in N(19) are 20..25, exactly M of them, so the local cut
-    # lemma forces those leaves.  Each scan still tests every leaf set that
-    # precedes them.
+    # neighbors in N(19) are 20..25, exactly M of them, so only a star that
+    # takes those leaves strands the clique from Z.  Each scan still tests
+    # every leaf set that precedes them.
     for planted, seed in ((True, 0), (False, 1)):
         red = reduce_3dm(gen_random_3dm(4, 3, planted, seed), 6, allow_unrestricted=True)
         res = structure_connectivity(red.graph, red.m, red.parameter, SearchOptions(time_limit=30))
@@ -514,15 +514,16 @@ def test_last_star_sees_a_connected_alive_set(monkeypatch):
     assert calls > 1000
 
 
-# -- the local cut test -------------------------------------------------------
+# -- the remainder walk ---------------------------------------------------------
 
 
 def _verdicts(engine, c, alive):
-    """(local, [(smask, verdict), ...]) over the leaf sets of _leaf_sets(c, nb).
+    """(asked, [(smask, verdict), ...]) over the leaf sets of _leaf_sets(c, nb).
 
-    Each verdict is _last_star's own, asked about that leaf set alone with
-    the hopeless rule off.  The rule is asked only where the local cut test
-    applies, so local records whether it gave the verdicts.
+    Each verdict is _last_star's own, from its walk over the remainder,
+    asked about that leaf set alone with the hopeless rule off.  asked
+    records whether the rule was consulted, which needs Z nonempty and
+    connected, and |Z| >= 2 or deg(c) > M.
     """
     nb = engine.g.masks[c] & alive
     asked = []
@@ -538,9 +539,12 @@ def _verdicts(engine, c, alive):
 
 def test_local_cut_test_agrees_with_remainder_is_cut():
     # Random alive sets, connected or not, so Z comes out empty, split and
-    # connected.  Every leaf set's verdict must be remainder_is_cut's.
+    # connected.  Every leaf set's verdict must be remainder_is_cut's.  The
+    # walk starts from Z when Z is connected, else from R's least vertex;
+    # each start gets a floor, and so do the trivial remainders.
     rng = random.Random(18)
-    tested = stranded = 0
+    walks = {"z": 0, "empty": 0, "split": 0}
+    stranded = trivial = 0
     for g, *_ in connected_corpus(60, max_n=10):
         for _ in range(8):
             alive = rng.getrandbits(g.n)
@@ -551,20 +555,39 @@ def test_local_cut_test_agrees_with_remainder_is_cut():
                         engine = _Engine(g, m, kind, opts)
                         strict = opts.strict_trivial
                         for c in bits(alive):
-                            local, verdicts = _verdicts(engine, c, alive)
+                            z = alive & ~g.masks[c] & ~(1 << c)
+                            start = "split" if not mask_connected(g, z) else "z" if z else "empty"
+                            _, verdicts = _verdicts(engine, c, alive)
                             for smask, cut in verdicts:
                                 assert cut == remainder_is_cut(
                                     g, dead | smask, strict_trivial=strict
                                 ), (tuple(g.edges()), alive, m, kind, opts, c, smask)
-                                tested += local
-                                stranded += local and cut
-    assert tested > 20000 and stranded > 5000
+                                walks[start] += 1
+                                stranded += start == "z" and cut
+                                trivial += (alive & ~smask).bit_count() <= 1
+    assert walks["z"] > 20000 and stranded > 5000
+    assert walks["empty"] > 10000 and walks["split"] > 4000 and trivial > 5000
+
+
+def test_search_never_calls_remainder_is_cut(monkeypatch):
+    # remainder_is_cut is the oracle's and the verifiers' cut test; the
+    # search decides by its own walk, so the agreement tests compare two.
+    def banned(*args, **kwargs):
+        raise AssertionError("the search called remainder_is_cut")
+
+    monkeypatch.setattr(solver, "remainder_is_cut", banned)
+    for g, *_ in connected_corpus(30, max_n=9):
+        for m in range(3):
+            for fn in (structure_connectivity, substructure_connectivity):
+                for opts in _VARIANTS:
+                    fn(g, m, g.n, opts)
 
 
 # Center 0 of each fixture, every vertex alive, substructure leaf sets in
-# _leaf_sets order; want holds the verdicts without and with strict_trivial.
+# _leaf_sets order; asked says whether the hopeless rule was consulted, and
+# want holds the verdicts without and with strict_trivial.
 @pytest.mark.parametrize(
-    "n,edges,m,local,want",
+    "n,edges,m,asked,want",
     [
         # Z = {3} and deg(0) = M, so L = nb = {1, 2} leaves 3 alone.
         (4, [(0, 1), (0, 2), (1, 3), (2, 3)], 2, False, ((0, 0, 1, 0), (0, 0, 1, 0))),
@@ -580,12 +603,12 @@ def test_local_cut_test_agrees_with_remainder_is_cut():
     ],
     ids=["single_z_all_of_nb", "single_z_local", "z_empty", "z_empty_nothing_left", "z_split"],
 )
-def test_local_cut_test_fixtures(n, edges, m, local, want):
+def test_local_cut_test_fixtures(n, edges, m, asked, want):
     g = build(n, edges)
     for strict, expect in zip((False, True), want, strict=True):
         engine = _Engine(g, m, SUBSTRUCTURE, SearchOptions(strict_trivial=strict))
         got, verdicts = _verdicts(engine, 0, g.full_mask)
-        assert got == local
+        assert got == asked
         assert tuple(int(cut) for _, cut in verdicts) == expect
         for smask, cut in verdicts:
             assert cut == remainder_is_cut(g, smask, strict_trivial=strict)
@@ -637,7 +660,7 @@ def test_sibling_test_changes_no_result(monkeypatch):
 
 
 def _z_bfs(monkeypatch):
-    """Count the last-level BFS over Z, which the hopeless rule relies on.
+    """Count the last-level BFS over Z, which seeds the walk and guards the hopeless rule.
 
     solver.mask_connected also serves the sibling test's Zmin check and the
     input check of every solve; only calls from _last_star count.
