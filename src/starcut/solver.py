@@ -64,10 +64,10 @@ lemma proved it, which changes no verdict:
 
 Stabilizer lemma: let H be any group of verified automorphisms that fix
 every star placed so far, each with its center fixed.  Then the next star's
-center needs trying only if it is the least vertex of its H-orbit, and each
-of its leaves l_i only if it is the least of its orbit under the members of
-H that also fix the center and l_1..l_{i-1}.  Search order compares
-families by (c_1, L_1, c_2, L_2, ...), leaf sets as tuples.
+center needs trying only if it is the least vertex of its H-orbit, and its
+first leaf l_1 only if it is the least of its orbit under the members of H
+that also fix the center.  Search order compares families by (c_1, L_1,
+c_2, L_2, ...), leaf sets as tuples.
 - Let F* be the family a pass at size t returns, the least cutting
   t-family, and σ ∈ H.  σ(F*) is a cutting t-family too: σ keeps star
   shapes, disjointness, leaf independence and which remainders are
@@ -79,9 +79,8 @@ families by (c_1, L_1, c_2, L_2, ...), leaf sets as tuples.
   σ(F*) forces c_k <= σ(c_k).
 - If σ also fixes c_k, no star of σ(F*) past the prefix has its canonical
   center below c_k, or σ(F*) would precede F*.  So the k-th star of σ(F*)
-  is (c_k, σ(L_k)), and L_k <= σ(L_k).  If σ fixes l_1..l_{i-1} too, a
-  σ(l_j) with j >= i below l_{i-1} would make σ(L_k) precede L_k, so
-  l_i <= σ(l_i).
+  is (c_k, σ(L_k)), and L_k <= σ(L_k).  The first entry of the tuple
+  σ(L_k) is its least leaf, so l_1 <= min σ(L_k) <= σ(l_1).
 - memo_tau cannot hide F*.  Say an entry memo_tau[A] = p skips F*'s last
   star S*, centered above p, at alive set A below prefix P*.  A slots == 1
   node wrote it at A below a prefix P whose last center is p, searched
@@ -93,10 +92,14 @@ so skipping changes no value, bound or certificate.  An orbit of Aut(G)
 itself proves nothing below the root: there H must fix the prefix.
 
 The search applies the lemma at every interior level.  The root prunes its
-centers by Aut(G).  A node with slots >= 3 and placed prefix P prunes its
-leaves by the stabilizer of P, c and the leaves so far.  It hands the child
-below each star (c, L) the stabilizer of P plus (c, L), and the child
-prunes its centers with it.  Two limits hold:
+centers by Aut(G).  A node with slots >= 3 and placed prefix P prunes the
+first leaf of each leaf set at c by the stabilizer of P and c, one orbit
+query object per center.  It hands the child below each star (c, L) the
+stabilizer of P plus (c, L), and the child prunes its centers with it.
+Pruning each later leaf l_i by the stabilizer of l_1..l_{i-1} as well (the
+refinement of McKay and Piperno) skipped no leaf set the first leaf had not
+already skipped, on the hypercube bench ops and the symmetric test family,
+so the search prunes by the first leaf only.  Two limits hold:
 - No orbits into the last level below the root: a slots == 2 node hands
   its children none.  The memo argument allows them, and a variant that
   passed them changed no tested result, but one orbit query per last-level
@@ -321,7 +324,7 @@ class _Engine:
         """Orbit queries under the automorphisms that keep each mask in cells.
 
         The stabilizer lemma's H: a placed star is passed as its center and
-        its leaf set, a fixed leaf as itself.
+        its leaf set, and a center whose leaves are pruned as itself.
         """
         return Orbits(self.g, cells, self._check_deadline, self.dist)
 
@@ -337,8 +340,6 @@ class _Engine:
         cands = bits(nb)
         cmask = 1 << c
         if self.exact:
-            if len(cands) < m:
-                return
             for combo in combinations(cands, m):
                 if m == 1 and combo[0] < c:
                     continue
@@ -367,31 +368,6 @@ class _Engine:
 
         yield from grow(0, 0)
 
-    def _least_leaf_sets(
-        self, c: int, nb: int, cells: tuple[int, ...]
-    ) -> Iterator[tuple[tuple[int, ...], int]]:
-        """The leaf sets of _leaf_sets(c, nb) that the stabilizer lemma keeps.
-
-        A leaf set is kept when each leaf l_i is the least of its orbit under
-        the automorphisms that keep the placed stars in cells and fix c and
-        l_1..l_{i-1}.  Leaf sets come in lexicographic order, so each Orbits
-        object is asked first about the least leaf it will be asked about.
-        """
-        cbit = 1 << c
-        queries: dict[tuple[int, ...], Orbits] = {}
-        for leaves, smask in self._leaf_sets(c, nb):
-            for i, leaf in enumerate(leaves):
-                fixed = leaves[:i]
-                orbits = queries.get(fixed)
-                if orbits is None:
-                    orbits = queries[fixed] = self._orbits(
-                        *cells, cbit, *(1 << v for v in fixed)
-                    )
-                if orbits and orbits.follows(leaf):
-                    break
-            else:
-                yield leaves, smask
-
     # -- the search --------------------------------------------------------
 
     def search(
@@ -405,9 +381,10 @@ class _Engine:
         sibling frame.  orbits answers under the automorphisms that keep the
         placed stars, its cells (stabilizer lemma).  Given one, the node
         skips the centers that follow a smaller vertex; with slots >= 3 it
-        also skips leaves and hands each child the stabilizer of its cells
-        plus that star.  The module docstring says why no other level
-        prunes by it.
+        also skips each leaf set whose first leaf follows a smaller vertex
+        under the automorphisms that also fix c, and hands each child the
+        stabilizer of its cells plus that star.  The module docstring says
+        why no other level prunes by it.
         """
         self._check_deadline()
         g = self.g
@@ -437,8 +414,10 @@ class _Engine:
                 continue
             if slots == 2:
                 self._open_frame(alive, c)
-            leaf_sets = self._least_leaf_sets(c, nb, orbits.cells) if deep else self._leaf_sets(c, nb)
-            for leaves, smask in leaf_sets:
+            first = self._orbits(*orbits.cells, cbit) if deep else None
+            for leaves, smask in self._leaf_sets(c, nb):
+                if first and leaves and first.follows(leaves[0]):
+                    continue
                 child = self._orbits(*orbits.cells, cbit, smask & ~cbit) if deep else None
                 got = self.search(alive & ~smask, c, slots - 1, child)
                 if got is not None:

@@ -236,14 +236,171 @@ def test_reduce_vc_layout():
         assert g.degree(v) == 3
 
 
+def _edited(red, drop=(), add=()):
+    """red with the edges in drop taken out of its graph and those in add put in."""
+    edges = set(red.graph.edges()) - set(drop) | set(add)
+    return dataclasses.replace(red, graph=build(red.graph.n, edges))
+
+
+def _relabeled(red, v, role):
+    return dataclasses.replace(red, roles=red.roles[:v] + (role,) + red.roles[v + 1 :])
+
+
 def test_audit_vc_rejects_crossed_taps():
     red = reduce_vertex_cover(VertexCoverInstance(path(3), 1))
     # Originals 0 and 2 swap their taps into clique 1 (vertices 3 and 5);
     # every degree stays the same.
-    edges = set(red.graph.edges()) - {(0, 3), (2, 5)} | {(0, 5), (2, 3)}
-    crossed = dataclasses.replace(red, graph=build(red.graph.n, edges))
+    crossed = _edited(red, drop=[(0, 3), (2, 5)], add=[(0, 5), (2, 3)])
     with pytest.raises(AssertionError, match="one neighbor outside its clique"):
         audit_reduced_vc(crossed)
+
+
+# Each defect corrupts the n=1 matching gadget of test_gadget_layout_n1 in one
+# way: triple 0, elements 1-3, cliques 4-9 and 10-15 (taps 4 and 10), blocks
+# 16-20, 21-25, 26-30 (element ends 20, 25, 30), tail 31-45.  Vertex 5 has
+# degree m = 5, as a triple and a non-last block vertex have.
+_3DM_DEFECTS = {
+    "m shifted": (lambda red: dataclasses.replace(red, m=6), "46 vertices, expected 61"),
+    "parameter shifted": (lambda red: dataclasses.replace(red, parameter=2), "ground-set"),
+    "triple edge dropped": (lambda red: _edited(red, drop=[(0, 1)]), "triple vertex 0 has degree 4"),
+    "element edge dropped": (
+        lambda red: _edited(red, drop=[(1, 20)]), "element vertex 1 has degree 1"
+    ),
+    "clique edge dropped": (lambda red: _edited(red, drop=[(5, 6)]), "clique vertex 5 has degree 4"),
+    "block edge dropped": (lambda red: _edited(red, drop=[(16, 17)]), "block vertex 16 has degree 4"),
+    "tail edge dropped": (
+        lambda red: _edited(red, drop=[(31, 32)]), "tail clique vertex 31 has degree 14"
+    ),
+    "cover role": (lambda red: _relabeled(red, 0, VertexRole(ORIG, 1)), "unexpected role ORIG"),
+    "clique vertex as a triple": (
+        lambda red: _relabeled(red, 5, VertexRole(TRIPLE, 2)), "disagree with the source"
+    ),
+    "clique vertex as a block vertex": (
+        lambda red: _relabeled(red, 5, VertexRole(UBLK, 1, 1)), "disagree with the layout"
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_3DM_DEFECTS))
+def test_audit_3dm_rejects_each_defect(defect):
+    corrupt, reason = _3DM_DEFECTS[defect]
+    red = reduce_3dm(ONE, 5, allow_unrestricted=True)
+    with pytest.raises(AssertionError, match=reason):
+        audit_reduced_3dm(corrupt(red))
+
+
+def test_audit_3dm_rejects_a_disconnected_rewiring():
+    # BALANCED has 4 triples and each element twice.  Trading every
+    # triple-element edge for a K4 on the triples and a 6-cycle on the
+    # elements keeps every degree, and cuts triples and cliques off the rest.
+    red = reduce_3dm(BALANCED, 5)
+    triples, elements = range(4), range(4, 10)
+    incidence = [(k, e) for k in triples for e in elements if red.graph.has_edge(k, e)]
+    ring = [(4 + i, 4 + (i + 1) % 6) for i in range(6)]
+    k4 = [(a, b) for a in triples for b in triples if a < b]
+    split = _edited(red, drop=incidence, add=k4 + ring)
+    assert not is_connected(split.graph)
+    with pytest.raises(AssertionError, match="matching gadget must be connected"):
+        audit_reduced_3dm(split)
+
+
+def test_audit_3dm_pins_degrees_not_wiring():
+    # Trading element 1's block edge 1-20 and block vertex 21's tail edge
+    # 21-36 for 1-36 and 20-21 keeps every degree, clique and connectivity:
+    # the audit passes, though block 2's first vertex no longer meets the
+    # tail.  Block 3 (26-30, tail partners 41-45) is untouched, so its
+    # tail-partner cut remains.
+    red = reduce_3dm(ONE, 5, allow_unrestricted=True)
+    swapped = _edited(red, drop=[(1, 20), (21, 36)], add=[(1, 36), (20, 21)])
+    audit_reduced_3dm(swapped)
+    assert not any(swapped.graph.has_edge(21, w) for w in range(31, 46))
+    cut = CutFamily(STRUCTURE, 5, (Star(45, (30, 41, 42, 43, 44)),))
+    assert is_structure_cut(swapped.graph, cut, 5)
+
+
+# The same for the path P_3 cover gadget with k = 1: originals 0-2, cliques
+# 3-5, 6-8 and 9-11.
+_VC_DEFECTS = {
+    "budget shifted": (
+        lambda red: dataclasses.replace(red, source=VertexCoverInstance(path(3), 2)),
+        "12 vertices, expected 15",
+    ),
+    "parameter shifted": (lambda red: dataclasses.replace(red, parameter=2), "cover budget"),
+    "m shifted": (lambda red: dataclasses.replace(red, m=3), "maximum degree"),
+    "source edge dropped": (
+        lambda red: _edited(red, drop=[(0, 1)]), "original vertex 0 has degree 3"
+    ),
+    "clique edge dropped": (lambda red: _edited(red, drop=[(3, 4)]), "clique vertex 3 has degree 2"),
+    "matching role": (
+        lambda red: _relabeled(red, 0, VertexRole(TRIPLE, 1)), "unexpected role TRIPLE"
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_VC_DEFECTS))
+def test_audit_vc_rejects_each_defect(defect):
+    corrupt, reason = _VC_DEFECTS[defect]
+    red = reduce_vertex_cover(VertexCoverInstance(path(3), 1))
+    with pytest.raises(AssertionError, match=reason):
+        audit_reduced_vc(corrupt(red))
+
+
+def test_audit_vc_rejects_a_disconnected_rewiring():
+    # Edgeless source on 3 vertices, k = 1: every vertex of clique j taps
+    # original j - 1 instead of its own.  Each original still has k + 2 = 3
+    # taps and each clique vertex one outside neighbor, its named original,
+    # but the gadget falls into three components.
+    red = reduce_vertex_cover(VertexCoverInstance(build(3, []), 1))
+    taps = [(i, 3 * j + i) for j in (1, 2, 3) for i in range(3)]
+    gathered = [(j - 1, 3 * j + i) for j in (1, 2, 3) for i in range(3)]
+    split = _edited(red, drop=taps, add=gathered)
+    for v in range(3, 12):
+        split = _relabeled(split, v, VertexRole(CLIQ, v // 3, v // 3))
+    with pytest.raises(AssertionError, match="cover gadget must be connected"):
+        audit_reduced_vc(split)
+
+
+def test_gadget_helpers_refuse_the_other_gadget():
+    matching = reduce_3dm(ONE, 5, allow_unrestricted=True)
+    cover = reduce_vertex_cover(VertexCoverInstance(path(3), 1))
+    matched, covered = matching_to_cut(matching, (0,)), cover_to_cut(cover, (1,))
+    for call in (
+        lambda: audit_reduced_3dm(cover),
+        lambda: matching_to_cut(cover, (0,)),
+        lambda: extract_matching(cover, covered),
+    ):
+        with pytest.raises(ValueError, match="not a matching gadget"):
+            call()
+    for call in (
+        lambda: audit_reduced_vc(matching),
+        lambda: cover_to_cut(matching, (1,)),
+        lambda: extract_cover(matching, matched),
+    ):
+        with pytest.raises(ValueError, match="not a cover gadget"):
+            call()
+
+
+def test_encoders_reject_a_gadget_their_family_does_not_cut():
+    # Edges 5-11 and 11-31 join both big cliques to the tail once triple 0's
+    # star is gone; edges 5-6 and 8-9 join the three P_3 cover cliques once
+    # the originals are.
+    matching = _edited(reduce_3dm(ONE, 5, allow_unrestricted=True), add=[(5, 11), (11, 31)])
+    with pytest.raises(AssertionError, match="encoded matching family"):
+        matching_to_cut(matching, (0,))
+    cover = _edited(reduce_vertex_cover(VertexCoverInstance(path(3), 1)), add=[(5, 6), (8, 9)])
+    with pytest.raises(AssertionError, match="encoded cover family"):
+        cover_to_cut(cover, (1,))
+
+
+def test_reduced_instance_needs_one_role_per_vertex():
+    red = reduce_3dm(ONE, 5, allow_unrestricted=True)
+    with pytest.raises(ValueError, match="one role per vertex"):
+        dataclasses.replace(red, roles=red.roles[:-1])
+
+
+def test_reduce_3dm_needs_a_triple():
+    with pytest.raises(ValueError, match="at least one triple"):
+        reduce_3dm(ThreeDMInstance(1, ()), allow_unrestricted=True)
 
 
 def _cover_gadget_law(g):
@@ -319,6 +476,8 @@ def test_cover_to_cut_rejects_bad_covers():
     red2 = reduce_vertex_cover(VertexCoverInstance(path(4), 2))
     with pytest.raises(ValueError):
         cover_to_cut(red2, (0, 1, 2))  # over budget
+    with pytest.raises(ValueError, match="distinct"):
+        cover_to_cut(red2, (1, 1))
 
 
 def test_cover_to_cut_names_stranded_isolated_vertices():

@@ -855,7 +855,8 @@ _KINDS = ((STRUCTURE, structure_connectivity), (SUBSTRUCTURE, substructure_conne
 
 def test_root_rule_changes_no_result(monkeypatch):
     # Covers all of the stabilizer lemma: root centers, and below them the
-    # centers and leaves of every interior level.  colored counts the skips
+    # centers of every interior level and the leaves, pruned by the first
+    # leaf, of every star with two more to place.  colored counts the skips
     # made under a coloring; deep counts those made by the objects a node
     # below the root builds, whose cells hold a full placed star plus more.
     family = symmetric_family() + [hypercube(5)]
@@ -922,9 +923,10 @@ def test_root_rule_agrees_with_oracle():
 def test_root_skips_no_least_vertex_of_an_orbit():
     # Brute force: every vertex a query skips has an automorphism that keeps
     # the cells and maps it below itself.  The colorings are the root's (no
-    # cells), vertex 0 fixed, a star at 0 with one or two leaves, and two
-    # placed stars: 0 with its least leaf, then the least vertex outside N[0]
-    # with its least neighbor outside the first star.
+    # cells), vertex 0 fixed, a star at 0 with one or two leaves, that star
+    # plus each next center c whose first leaf is pruned, and two placed
+    # stars: 0 with its least leaf, then the least vertex outside N[0] with
+    # its least neighbor outside the first star.
     skipped = 0
     for g in connected_graphs_upto(6) + [DECOY]:
         autos = [
@@ -934,6 +936,9 @@ def test_root_skips_no_least_vertex_of_an_orbit():
         ]
         leaves = bits(g.masks[0])
         stars = [(1, sum(1 << v for v in leaves[:k])) for k in (1, 2) if k <= len(leaves)]
+        stars += [
+            (1, lmask, 1 << c) for _, lmask in stars for c in bits(g.full_mask & ~lmask & ~1)
+        ]
         for first in leaves[:1]:
             for c in bits(g.full_mask & ~g.masks[0] & ~1)[:1]:
                 for leaf in bits(g.masks[c] & ~(1 | 1 << first))[:1]:
@@ -947,7 +952,7 @@ def test_root_skips_no_least_vertex_of_an_orbit():
             skipped += skip.bit_count()
             for x in bits(skip):
                 assert min(p[x] for p in group) < x, (tuple(g.edges()), cells, x)
-    assert skipped > 800
+    assert skipped > 1200  # 446 of them under a star plus the next center
 
 
 def test_vertex_transitive_hosts_keep_only_root_0():
