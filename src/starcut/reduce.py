@@ -203,15 +203,16 @@ def audit_reduced_3dm(red: ReducedInstance) -> None:
     t = len(inst.triples)
     n = inst.n
     clique_size = (m + 1) * t
-    expected = t + 3 * n + (m - 3) * clique_size + 6 * n * m
+    tail = 3 * n * m
+    expected = t + 3 * n + (m - 3) * clique_size + 2 * tail
     if g.n != expected:
         raise AssertionError(f"gadget has {g.n} vertices, expected {expected}")
     if red.parameter != n:
         raise AssertionError("decision bound must equal the ground-set size")
     occ = element_occurrences(inst)
-    counts = {TRIPLE: 0, ELEM: 0, CLIQ: 0, UBLK: 0, UPRM: 0}
+    layout = {TRIPLE: t, ELEM: 3 * n, CLIQ: (m - 3) * clique_size, UBLK: tail, UPRM: tail}
+    counts = dict.fromkeys(layout, 0)
     for v, role in enumerate(red.roles):
-        counts[role.tag] = counts.get(role.tag, 0) + 1
         d = g.degree(v)
         if role.tag == TRIPLE:
             if d != m:
@@ -229,17 +230,14 @@ def audit_reduced_3dm(red: ReducedInstance) -> None:
             if d != want:
                 raise AssertionError(f"block vertex {v} has degree {d}, want {want}")
         elif role.tag == UPRM:
-            if d != 3 * n * m:
-                raise AssertionError(
-                    f"tail clique vertex {v} has degree {d}, want {3 * n * m}"
-                )
+            if d != tail:
+                raise AssertionError(f"tail clique vertex {v} has degree {d}, want {tail}")
         else:
             raise AssertionError(f"unexpected role {role.tag} in a matching gadget")
+        counts[role.tag] += 1
     if counts[TRIPLE] != t or counts[ELEM] != 3 * n:
         raise AssertionError("role counts disagree with the source instance")
-    if counts[CLIQ] != (m - 3) * clique_size or counts[UBLK] != 3 * n * m:
-        raise AssertionError("role counts disagree with the layout")
-    if counts[UPRM] != 3 * n * m:
+    if counts != layout:
         raise AssertionError("role counts disagree with the layout")
     if not is_connected(g):
         raise AssertionError("matching gadget must be connected")

@@ -7,15 +7,17 @@ Kind "structure" requires every element to be a K_{1,m} exactly; kind
 
 Search scheme: iterative deepening on the family size t, one sequential
 pass per size.  Families are sets, so each one is enumerated exactly once by
-requiring strictly increasing center ids.  Centers and leaves are tried in
-increasing id order, so the first family a pass finds is the
-lexicographically least one and serves directly as the certificate.  One
-recursive node, _Engine.search, serves every level: with slots >= 2 free it
-tries each center above the last placed one and recurses below each of its
-stars, and with one slot left it places the last star and tests each of its
-leaf sets in place.  The caller's time_limit bounds the whole call: the
-deadline is polled on entry to every node, at every center a node tries,
-and once per leaf set tested.
+requiring strictly increasing center ids.  Centers are tried in increasing
+id order, and each center's leaf sets in lexicographic order of their
+increasing leaf tuples, so the first family a pass finds is the
+lexicographically least one and serves directly as the certificate.  A leaf
+set is one int, its leaf mask without the center (0 for the bare K_1); only
+the certificate is built as Star tuples.  One recursive node, _Engine.search,
+serves every level: with slots >= 2 free it tries each center above the last
+placed one and recurses below each of its stars, and with one slot left it
+places the last star and tests each of its leaf sets in place.  The caller's
+time_limit bounds the whole call: the deadline is polled on entry to every
+node, at every center a node tries, and once per leaf set tested.
 
 Two pruning rules and a memo cut the search; each stays because switching
 it off was measured to slow the benchmark down, and none changes values or
@@ -252,11 +254,12 @@ class _Engine:
                 return False
         return True
 
-    def _last_star(self, c: int, nb: int, alive: int) -> tuple[int, ...] | None:
-        """The first leaves of _leaf_sets(c, nb) whose star cuts alive, or None."""
+    def _last_star(self, c: int, nb: int, alive: int) -> int | None:
+        """The first leaf mask of _leaf_sets(c, nb) whose star cuts alive, or None."""
         g = self.g
         masks = g.masks
-        z = alive & ~nb & ~(1 << c)
+        alive ^= 1 << c
+        z = alive & ~nb
         # R = alive - S holds Z, so R can be trivial only when |Z| <= 1.
         lone = not z & (z - 1)
         # Is Z a connected seed for the remainder walk (module docstring)?
@@ -273,12 +276,12 @@ class _Engine:
             if (not lone or nb.bit_count() > self.m) and self._center_hopeless(touch, off):
                 return None
         strict = self.opts.strict_trivial
-        for leaves, smask in self._leaf_sets(c, nb):
+        for leaves in self._leaf_sets(c, nb):
             self._check_deadline()
             if joined:
-                todo, left = touch & ~smask, off & ~smask
+                todo, left = touch & ~leaves, off & ~leaves
             else:
-                left = alive & ~smask
+                left = alive & ~leaves
                 todo = left & -left
                 left ^= todo
             while left and todo:
@@ -287,7 +290,7 @@ class _Engine:
                 hit = masks[v] & left
                 left ^= hit
                 todo |= hit
-            if left or lone and trivial_remainder(alive & ~smask, strict):
+            if left or lone and trivial_remainder(alive & ~leaves, strict):
                 return leaves
         return None
 
@@ -330,50 +333,46 @@ class _Engine:
 
     # -- star enumeration --------------------------------------------------
 
-    def _leaf_sets(self, c: int, nb: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Yield (leaves, star mask) for stars at c with leaves in nb, lexicographically.
+    def _leaf_sets(self, c: int, nb: int) -> Iterator[int]:
+        """Yield the leaf masks of the stars at c with leaves in nb, lexicographically.
 
         Single-leaf stars whose leaf precedes the center are suppressed: the
         flipped orientation is canonical and is produced at the other center.
         """
         masks, m, induced = self.g.masks, self.m, self.opts.induced
         cands = bits(nb)
-        cmask = 1 << c
         if self.exact:
             for combo in combinations(cands, m):
                 if m == 1 and combo[0] < c:
                     continue
                 if induced and not leaves_independent(masks, combo):
                     continue
-                smask = cmask
+                leaves = 0
                 for leaf in combo:
-                    smask |= 1 << leaf
-                yield combo, smask
+                    leaves |= 1 << leaf
+                yield leaves
             return
+        cbit = 1 << c
 
-        prefix: list[int] = []
-
-        def grow(start: int, pmask: int) -> Iterator[tuple[tuple[int, ...], int]]:
-            if len(prefix) != 1 or prefix[0] > c:
-                yield tuple(prefix), cmask | pmask
-            if len(prefix) == m:
+        def grow(start: int, leaves: int, room: int) -> Iterator[int]:
+            if leaves & (leaves - 1) or leaves > cbit or not leaves:
+                yield leaves
+            if not room:
                 return
             for i in range(start, len(cands)):
                 leaf = cands[i]
-                if induced and pmask & masks[leaf]:
+                if induced and leaves & masks[leaf]:
                     continue
-                prefix.append(leaf)
-                yield from grow(i + 1, pmask | 1 << leaf)
-                prefix.pop()
+                yield from grow(i + 1, leaves | 1 << leaf, room - 1)
 
-        yield from grow(0, 0)
+        yield from grow(0, 0, m)
 
     # -- the search --------------------------------------------------------
 
     def search(
         self, alive: int, pmax: int, slots: int, orbits: Orbits | None = None
-    ) -> list[Star] | None:
-        """The least `slots` stars centered above pmax that cut `alive`.
+    ) -> list[tuple[int, int]] | None:
+        """(c, leaf mask) of the least `slots` stars centered above pmax that cut `alive`.
 
         The node tries each center above pmax.  A slots == 1 node consults
         and tightens memo_tau and asks _last_star at each center; others
@@ -381,10 +380,10 @@ class _Engine:
         sibling frame.  orbits answers under the automorphisms that keep the
         placed stars, its cells (stabilizer lemma).  Given one, the node
         skips the centers that follow a smaller vertex; with slots >= 3 it
-        also skips each leaf set whose first leaf follows a smaller vertex
+        also skips each leaf set whose least leaf follows a smaller vertex
         under the automorphisms that also fix c, and hands each child the
-        stabilizer of its cells plus that star.  The module docstring says
-        why no other level prunes by it.
+        stabilizer of its cells plus c and the leaf mask.  The module
+        docstring says why no other level prunes by it.
         """
         self._check_deadline()
         g = self.g
@@ -410,18 +409,19 @@ class _Engine:
             if slots == 1:
                 leaves = self._last_star(c, nb, alive)
                 if leaves is not None:
-                    return [Star(c, leaves)]
+                    return [(c, leaves)]
                 continue
             if slots == 2:
                 self._open_frame(alive, c)
             first = self._orbits(*orbits.cells, cbit) if deep else None
-            for leaves, smask in self._leaf_sets(c, nb):
-                if first and leaves and first.follows(leaves[0]):
+            rest = alive ^ cbit
+            for leaves in self._leaf_sets(c, nb):
+                if first and leaves and first.follows((leaves & -leaves).bit_length() - 1):
                     continue
-                child = self._orbits(*orbits.cells, cbit, smask & ~cbit) if deep else None
-                got = self.search(alive & ~smask, c, slots - 1, child)
+                child = self._orbits(*orbits.cells, cbit, leaves) if deep else None
+                got = self.search(rest & ~leaves, c, slots - 1, child)
                 if got is not None:
-                    return [Star(c, leaves), *got]
+                    return [(c, leaves), *got]
         if slots == 1:
             self.memo_tau[alive] = pmax
         return None
@@ -476,7 +476,7 @@ def _connectivity(
     if family is None:
         return SolveResult(None, None, t_max, True)
     # Centers strictly increase along a family, so it is already sorted.
-    cert = CutFamily(kind, m, tuple(family))
+    cert = CutFamily(kind, m, tuple(Star(c, tuple(bits(leaves))) for c, leaves in family))
     _check_certificate(g, cert, opts.strict_trivial, opts.induced, "search")
     return SolveResult(t, cert, t, True)
 

@@ -4,7 +4,7 @@ import math
 import random
 import sys
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -348,6 +348,38 @@ def test_m6_gadgets_finish_with_the_forced_leaf_set():
         assert res.certificate.elements == (Star(19, (20, 21, 22, 23, 24, 25)),)
 
 
+# -- the leaf-set order --------------------------------------------------------
+
+
+def _admissible_leaf_sets(g, c, m, exact, induced):
+    """Every admissible leaf tuple of a star at c, sorted."""
+    return sorted(
+        combo
+        for size in ([m] if exact else range(m + 1))
+        for combo in combinations(g.neighbors(c), size)
+        if not (size == 1 and combo[0] < c)
+        and not (induced and any(g.masks[a] >> b & 1 for a, b in combinations(combo, 2)))
+    )
+
+
+def test_leaf_sets_follow_the_sorted_leaf_tuples():
+    # The search returns the first cutting leaf set at each center, so this
+    # order is part of every certificate.  _leaf_sets yields leaf masks; read
+    # as increasing tuples they must be the sorted admissible ones.
+    seen = 0
+    for g, *_ in connected_corpus(40):
+        for m in range(4):
+            for kind in (STRUCTURE, SUBSTRUCTURE):
+                for induced in (False, True):
+                    engine = _Engine(g, m, kind, SearchOptions(induced=induced))
+                    for c in range(g.n):
+                        got = [tuple(bits(x)) for x in engine._leaf_sets(c, g.masks[c])]
+                        want = _admissible_leaf_sets(g, c, m, kind == STRUCTURE, induced)
+                        assert got == want, (tuple(g.edges()), c, m, kind, induced)
+                        seen += len(got)
+    assert seen > 20000, seen
+
+
 # -- the hopeless-center rule -------------------------------------------------
 
 
@@ -413,8 +445,8 @@ def test_center_hopeless_is_sound_on_any_alive_set():
                             continue
                         fired += 1
                         nb = g.masks[c] & alive
-                        for leaves, smask in engine._leaf_sets(c, nb):
-                            assert not remainder_is_cut(g, dead | smask), (
+                        for leaves in engine._leaf_sets(c, nb):
+                            assert not remainder_is_cut(g, dead | leaves | 1 << c), (
                                 tuple(g.edges()), alive, m, kind, c, leaves
                             )
     assert fired > 1000 and split > 100
@@ -529,9 +561,9 @@ def _verdicts(engine, c, alive):
     asked = []
     engine._center_hopeless = lambda *split: asked.append(split) or False
     out = []
-    for one in list(engine._leaf_sets(c, nb)):
-        engine._leaf_sets = lambda *_: iter([one])
-        out.append((one[1], engine._last_star(c, nb, alive) is not None))
+    for leaves in list(engine._leaf_sets(c, nb)):
+        engine._leaf_sets = lambda *_: iter([leaves])
+        out.append((leaves | 1 << c, engine._last_star(c, nb, alive) is not None))
         del engine._leaf_sets
     del engine._center_hopeless
     return bool(asked), out
