@@ -122,8 +122,6 @@ def mask_connected(g: Graph, mask: int) -> bool:
 
     The empty and single-vertex masks count as connected.
     """
-    if not mask:
-        return True
     masks = g.masks
     reach = frontier = mask & -mask
     while frontier and reach != mask:

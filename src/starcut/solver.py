@@ -402,6 +402,8 @@ class _Engine:
             if not alive & cbit:
                 continue
             nb = masks[c] & alive
+            # No exact star fits here.  The test costs hypercube about 1% and
+            # saves gadget about 2%, where it spares _last_star's analysis.
             if self.exact and nb.bit_count() < m:
                 continue
             if orbits and orbits.follows(c):
@@ -425,12 +427,6 @@ class _Engine:
         if slots == 1:
             self.memo_tau[alive] = pmax
         return None
-
-
-def _family_size_cap(g: Graph, m: int, kind: str) -> int:
-    if kind == STRUCTURE:
-        return g.n // (m + 1)
-    return g.n
 
 
 def _validate_inputs(g: Graph, m: int, t_max: int) -> None:
@@ -460,7 +456,7 @@ def _connectivity(
     engine = _Engine(g, m, kind, opts)
     if opts.time_limit is not None:
         engine.deadline = time.monotonic() + opts.time_limit
-    cap = min(t_max, _family_size_cap(g, m, kind))
+    cap = min(t_max, g.n // (m + 1) if kind == STRUCTURE else g.n)
     settled, family = 0, None
     # Orbit queries run only on regular graphs, so the irregular corpus and
     # gadget graphs pay one degree scan and no query.

@@ -7,14 +7,11 @@ class.  The answer grows with the automorphisms found, so it is sound however
 far the search got: True proves x shares an orbit with a smaller vertex,
 False proves nothing.
 
-Nothing is built before the second vertex asked about.  The solver asks
-about its candidates in increasing order and tries its first candidate
-anyway, so the first query answers False, and a search that succeeds on its
-first candidate does no orbit work at all.  A False answer is kept, so a
-vertex asked about again costs nothing.  The build colors the vertices: the
-key of a vertex is, per cell, the sorted distances to the cell's members,
-which every automorphism that keeps the cells also keeps.  It then starts a
-union-find whose classes are the orbits of the group generated so far.
+The first query builds the object.  It colors the vertices: the key of a
+vertex is, per cell, the sorted distances to the cell's members, which every
+automorphism that keeps the cells also keeps.  It then starts a union-find
+whose classes are the orbits of the group generated so far.  A query x that
+is not the least of its class answers True at once.
 
 For a query x that is still the least of its class, the object tries each
 class leader r < x of x's color in turn, and looks for σ with σ(r) = x in
@@ -54,7 +51,7 @@ class Orbits:
     shared by every Orbits object on the same graph.
     """
 
-    __slots__ = ("g", "cells", "poll", "dist", "least", "color", "leader", "budget")
+    __slots__ = ("g", "cells", "poll", "dist", "color", "leader", "budget")
 
     def __init__(
         self,
@@ -67,19 +64,13 @@ class Orbits:
         self.cells = cells
         self.poll = poll
         self.dist = dist
-        self.least = 0  # mask of the vertices answered False
         self.color: list[int] = []
         self.leader: list[int] = []  # union-find; each root is its class's least vertex
         self.budget = AUT_NODE_BUDGET
 
     def follows(self, x: int) -> bool:
         """True iff a found automorphism maps a vertex smaller than x to x."""
-        if self.least >> x & 1:
-            return False
         if not self.leader:
-            if not self.least:
-                self.least = 1 << x
-                return False
             self._start()
         leader, color = self.leader, self.color
         if self._find(x) != x:
@@ -97,7 +88,6 @@ class Orbits:
                     if a != b:
                         leader[max(a, b)] = min(a, b)
                 return True
-        self.least |= 1 << x
         return False
 
     def _start(self) -> None:

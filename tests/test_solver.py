@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import sys
@@ -742,7 +743,7 @@ _TWO_SIDED = [(0, 1), (0, 2), (3, 4), (3, 7), (4, 5), (7, 6), (2, 5), (2, 6)]
     ],
     ids=["zmin_split", "attach_misses_zmin", "attach_misses_zmin_connected_z", "zmin_empty"],
 )
-def test_sibling_test_falls_back_to_the_ring_bfs(monkeypatch, n, edges, leaves, want):
+def test_sibling_test_falls_back_to_the_z_bfs(monkeypatch, n, edges, leaves, want):
     hopeless, runs = _sibling_verdict(monkeypatch, n, edges, 0, leaves, 3)
     assert (hopeless, runs) == (want, 1)
     with pruning_off(SIBLING_TEST):
@@ -1011,9 +1012,9 @@ def test_time_limit_covers_the_automorphism_search():
 def test_time_limit_covers_the_orbit_queries():
     # Each coloring the search uses: the root's, a fixed center, a star, and
     # two placed stars, (0, (1,)) and (6, (7,)), whose stabilizer swaps the
-    # coordinates 1 and 2 and so maps 2 to 4.  The first query builds
-    # nothing, so it answers without polling; every later query that searches
-    # polls the engine's deadline before each step.
+    # coordinates 1 and 2 and so maps 2 to 4.  Vertex 0 has no smaller
+    # vertex, so follows(0) takes no step and never polls; every later query
+    # that searches polls the engine's deadline before each step.
     g = hypercube(4)
     for cells, x in (((), 1), ((1,), 2), ((1, 0b110), 8), ((1, 0b10, 1 << 6, 1 << 7), 4)):
         engine = _Engine(g, 1, STRUCTURE, SearchOptions())
@@ -1068,6 +1069,35 @@ def test_solver_is_deterministic():
     a = structure_connectivity(g, 2, g.n)
     b = structure_connectivity(g, 2, g.n)
     assert a == b
+
+
+# sha256 over "value|bound|complete|write_cut" of every solve of a block:
+# each graph of the set at t_max = n, both kinds, default/strict/induced.
+# A search change that keeps every value, bound and certificate keeps them
+# all; the failure names the first block that moved.
+RESULT_DIGESTS = {
+    ("corpus", 0): "6fbbd3524d552371dff84c4507ae3ab7acdc5e9e62f061b8417cdce7909d5907",
+    ("corpus", 1): "49ac7c1634029d1b87a0ee961c421fb48a8c7dc329e67ceae821c8b31d048a8c",
+    ("corpus", 2): "668fa60762996b88bdb57659e046153b5af748e23025f88f0ca04211b3154fc9",
+    ("corpus", 3): "b46f1e0017741e20e3be6eaabe0d631cbb7c2a69121e3071160e6fc39226fb62",
+    ("symmetric", 0): "bf920c521b5dbfac5ecf815735b3c1e6d2819d7b5b75d728cb41ad983438395d",
+    ("symmetric", 1): "6a90fecb99239293638bf4e1b9d115c887db5fc267eaa02b919db2e2c678607e",
+    ("symmetric", 2): "c781f094322bca2393407a2c1a8434768f865a244593ebc14fcb6ae14a8e7632",
+    ("symmetric", 3): "36de968b4d437794f82df0f212254e1af0939796f51648a29cd533b62955b7c5",
+}
+
+
+def test_results_match_recorded_digests():
+    sets = {"corpus": [g for g, *_ in connected_corpus(200)], "symmetric": symmetric_family()}
+    for (name, m), want in RESULT_DIGESTS.items():
+        digest = hashlib.sha256()
+        for g in sets[name]:
+            for _, fn in _KINDS:
+                for opts in _VARIANTS:
+                    res = fn(g, m, g.n, opts)
+                    cut = write_cut(res.certificate) if res.certificate else ""
+                    digest.update(f"{res.value}|{res.bound}|{res.complete}|{cut}\n".encode())
+        assert digest.hexdigest() == want, f"results differ on the {name} set at M={m}"
 
 
 # -- star partitions (the oracle's core) -------------------------------------
