@@ -147,29 +147,23 @@ def _cmd_oracle_kappa(args) -> int:
     return _print_result(kind, args.M, res)
 
 
-def _gadget_decision(res) -> str:
-    if res.value is not None:
-        return "YES"
-    return "NO" if res.complete else "INCONCLUSIVE"
-
-
-def _report(source_yes: bool, gadget: str, out_prefix, red) -> int:
-    source = "YES" if source_yes else "NO"
-    if gadget == "INCONCLUSIVE":
-        verdict = "INCONCLUSIVE"
-    elif (gadget == "YES") == source_yes:
-        verdict = "PASS"
+def _report(source_yes: bool, res, out_prefix, red) -> int:
+    """Print and optionally write the source and gadget decisions and their verdict."""
+    gadget_yes = res.value is not None
+    if not (gadget_yes or res.complete):
+        gadget = verdict = "INCONCLUSIVE"
+        code = EXIT_INCONCLUSIVE
     else:
-        verdict = "FAIL"
+        gadget = "YES" if gadget_yes else "NO"
+        verdict, code = ("PASS", EXIT_YES) if gadget_yes == source_yes else ("FAIL", EXIT_NO)
+    source = "YES" if source_yes else "NO"
     lines = [f"decision-source {source}", f"decision-gadget {gadget}", f"verdict {verdict}"]
     for line in lines:
         print(line)
     if out_prefix:
         _write_gadget(out_prefix, red)
         _write(out_prefix + ".report", "\n".join(lines) + "\n")
-    if verdict == "PASS":
-        return EXIT_YES
-    return EXIT_NO if verdict == "FAIL" else EXIT_INCONCLUSIVE
+    return code
 
 
 def _cmd_roundtrip(args) -> int:
@@ -180,7 +174,7 @@ def _cmd_roundtrip(args) -> int:
     res = solve_gadget(red.graph, red.m, red.parameter, opts)
     if res.certificate is not None:
         _print_ids("decode", decode(red, res.certificate))
-    return _report(source is not None, _gadget_decision(res), args.out_prefix, red)
+    return _report(source is not None, res, args.out_prefix, red)
 
 
 def _emit(text: str, out) -> int:

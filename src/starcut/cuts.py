@@ -43,7 +43,7 @@ class Star:
         if any(a >= b for a, b in zip(self.leaves, self.leaves[1:])):
             raise ValueError("leaves must be strictly increasing")
         if self.center in self.leaves:
-            raise ValueError("center cannot also be a leaf")
+            raise ValueError("center repeated among the leaves")
 
     @property
     def leaf_count(self) -> int:
@@ -91,23 +91,18 @@ class CutFamily:
             raise ValueError(f"unknown cut kind {self.kind!r}")
         if self.m < 0:
             raise ValueError("leaf bound must be nonnegative")
+        exact = self.kind == STRUCTURE
+        used: set[int] = set()
         for s in self.elements:
-            if self.kind == STRUCTURE and s.leaf_count != self.m:
-                raise ValueError(
-                    f"structure element must have exactly {self.m} leaves, "
-                    f"got {s.leaf_count}"
-                )
-            if self.kind == SUBSTRUCTURE and s.leaf_count > self.m:
-                raise ValueError(
-                    f"substructure element may have at most {self.m} leaves, "
-                    f"got {s.leaf_count}"
-                )
-        seen: set[int] = set()
-        for s in self.elements:
-            for v in s.vertices():
-                if v in seen:
-                    raise ValueError(f"elements overlap at vertex {v}")
-                seen.add(v)
+            k = len(s.leaves)
+            if (k != self.m) if exact else (k > self.m):
+                bound = "must have exactly" if exact else "may have at most"
+                raise ValueError(f"{self.kind} element {bound} {self.m} leaves, got {k}")
+            vs = (s.center, *s.leaves)
+            if not used.isdisjoint(vs):
+                v = next(v for v in vs if v in used)
+                raise ValueError(f"elements overlap at vertex {v}")
+            used.update(vs)
 
     def __len__(self) -> int:
         return len(self.elements)

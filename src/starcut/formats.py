@@ -149,20 +149,19 @@ def parse_cut(text: str) -> CutFamily:
             raise ParseError(line_no, "element line needs a center")
         if any(x < 1 for x in ids):
             raise ParseError(line_no, "vertex ids are 1-based")
-        center, leaves = ids[0] - 1, [x - 1 for x in ids[1:]]
-        if any(a >= b for a, b in zip(leaves, leaves[1:])):
-            raise ParseError(line_no, "leaves must be strictly increasing")
-        if center in leaves:
-            raise ParseError(line_no, "center repeated among the leaves")
-        if kind == STRUCTURE and len(leaves) != m:
+        try:
+            star = Star(ids[0] - 1, tuple(x - 1 for x in ids[1:]))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        if kind == STRUCTURE and len(star.leaves) != m:
             raise ParseError(line_no, f"structure elements need exactly {m} leaves")
-        if kind == SUBSTRUCTURE and len(leaves) > m:
+        if kind == SUBSTRUCTURE and len(star.leaves) > m:
             raise ParseError(line_no, f"substructure elements allow at most {m} leaves")
-        for v in [center, *leaves]:
-            if v in used:
-                raise ParseError(line_no, f"vertex {v + 1} appears in two elements")
-            used.add(v)
-        stars.append(Star(center, tuple(leaves)))
+        if not used.isdisjoint(ids):
+            x = next(x for x in ids if x in used)
+            raise ParseError(line_no, f"vertex {x} appears in two elements")
+        used.update(ids)
+        stars.append(star)
     if len(stars) != t:
         raise ParseError(last + 1, f"expected {t} elements, found {len(stars)}")
     return CutFamily(kind, m, tuple(stars))

@@ -45,6 +45,9 @@ ORIG = "ORIG"
 
 _TAGS_WITH_SECOND_INDEX = {CLIQ, UBLK}
 _ALL_TAGS = {TRIPLE, ELEM, CLIQ, UBLK, UPRM, ORIG}
+_ROLE_WORDS = {
+    TRIPLE: "triple", ELEM: "element", CLIQ: "clique", UBLK: "block", UPRM: "tail clique"
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,6 +91,14 @@ class ReducedInstance:
     def __post_init__(self) -> None:
         if len(self.roles) != self.graph.n:
             raise ValueError("exactly one role per vertex is required")
+
+
+def _source(red: ReducedInstance, kind: type):
+    """red.source if it is a `kind` instance; else the gadget is the wrong one."""
+    if not isinstance(red.source, kind):
+        gadget = "matching" if kind is ThreeDMInstance else "cover"
+        raise ValueError(f"not a {gadget} gadget")
+    return red.source
 
 
 # -- matching gadget -----------------------------------------------------
@@ -195,9 +206,7 @@ def audit_reduced_3dm(red: ReducedInstance) -> None:
     Every element vertex must have degree exactly its occurrence count + 1,
     so on a restricted instance element degrees are 3 or 4.
     """
-    inst = red.source
-    if not isinstance(inst, ThreeDMInstance):
-        raise ValueError("not a matching gadget")
+    inst = _source(red, ThreeDMInstance)
     g = red.graph
     m = red.m
     t = len(inst.triples)
@@ -213,27 +222,22 @@ def audit_reduced_3dm(red: ReducedInstance) -> None:
     layout = {TRIPLE: t, ELEM: 3 * n, CLIQ: (m - 3) * clique_size, UBLK: tail, UPRM: tail}
     counts = dict.fromkeys(layout, 0)
     for v, role in enumerate(red.roles):
-        d = g.degree(v)
         if role.tag == TRIPLE:
-            if d != m:
-                raise AssertionError(f"triple vertex {v} has degree {d}, want {m}")
+            want = m
         elif role.tag == ELEM:
             want = occ[role.i - 1] + 1
-            if d != want:
-                raise AssertionError(f"element vertex {v} has degree {d}, want {want}")
         elif role.tag == CLIQ:
-            want = clique_size - 1 + (1 if role.i <= t else 0)
-            if d != want:
-                raise AssertionError(f"clique vertex {v} has degree {d}, want {want}")
+            want = clique_size - 1 + (role.i <= t)
         elif role.tag == UBLK:
             want = m + 1 if role.i == m else m
-            if d != want:
-                raise AssertionError(f"block vertex {v} has degree {d}, want {want}")
         elif role.tag == UPRM:
-            if d != tail:
-                raise AssertionError(f"tail clique vertex {v} has degree {d}, want {tail}")
+            want = tail
         else:
             raise AssertionError(f"unexpected role {role.tag} in a matching gadget")
+        d = g.degree(v)
+        if d != want:
+            word = _ROLE_WORDS[role.tag]
+            raise AssertionError(f"{word} vertex {v} has degree {d}, want {want}")
         counts[role.tag] += 1
     if counts[TRIPLE] != t or counts[ELEM] != 3 * n:
         raise AssertionError("role counts disagree with the source instance")
@@ -251,9 +255,7 @@ def matching_to_cut(red: ReducedInstance, chosen: tuple[int, ...]) -> CutFamily:
     a valid perfect matching; each star's leaves are the triple's three
     element vertices plus its private tap in every big clique, exactly m.
     """
-    inst = red.source
-    if not isinstance(inst, ThreeDMInstance):
-        raise ValueError("not a matching gadget")
+    inst = _source(red, ThreeDMInstance)
     if not verify_matching(inst, tuple(chosen)):
         raise ValueError("chosen triples are not a valid matching")
     stars = tuple(
@@ -272,9 +274,7 @@ def extract_matching(red: ReducedInstance, family: CutFamily) -> tuple[int, ...]
     those triples form a verified matching.  Cuts of any other shape (clique
     interiors, tail vertices, too few triple centers) decode to None.
     """
-    inst = red.source
-    if not isinstance(inst, ThreeDMInstance):
-        raise ValueError("not a matching gadget")
+    inst = _source(red, ThreeDMInstance)
     if not is_structure_cut(red.graph, family, red.m):
         raise ValueError("family is not a structure cut of the gadget")
     picked = tuple(
@@ -327,9 +327,7 @@ def reduce_vertex_cover(inst: VertexCoverInstance) -> ReducedInstance:
 
 def audit_reduced_vc(red: ReducedInstance) -> None:
     """Check sizes, roles, degrees, and the one-tap property; raises on defect."""
-    inst = red.source
-    if not isinstance(inst, VertexCoverInstance):
-        raise ValueError("not a cover gadget")
+    inst = _source(red, VertexCoverInstance)
     g = red.graph
     src = inst.graph
     n = src.n
@@ -373,9 +371,7 @@ def cover_to_cut(red: ReducedInstance, cover: tuple[int, ...]) -> CutFamily:
     survive and, tapped into every clique, hold them together; such covers
     raise ValueError.
     """
-    inst = red.source
-    if not isinstance(inst, VertexCoverInstance):
-        raise ValueError("not a cover gadget")
+    inst = _source(red, VertexCoverInstance)
     chosen = tuple(sorted(set(cover)))
     if len(chosen) != len(tuple(cover)):
         raise ValueError("cover vertices must be distinct")
@@ -413,9 +409,7 @@ def extract_cover(red: ReducedInstance, family: CutFamily) -> tuple[int, ...] | 
     clique-vertex center.  Accepted only when that set covers all source
     edges within the budget.
     """
-    inst = red.source
-    if not isinstance(inst, VertexCoverInstance):
-        raise ValueError("not a cover gadget")
+    inst = _source(red, VertexCoverInstance)
     if not is_substructure_cut(red.graph, family, red.m):
         raise ValueError("family is not a substructure cut of the gadget")
     # A cover gadget has only ORIG and CLIQ roles, and both name source

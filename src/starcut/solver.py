@@ -109,7 +109,7 @@ so the search prunes by the first leaf only.  Two limits hold:
   against 0.09 s.
 - No leaf pruning at slots == 2.  A variant that pruned there took 0.12 s
   per hypercube bench pass against 0.09 s.
-On Q6 with M=1 the size-5 solve takes 2.0 s (structure) and 5.1 s
+On Q6 with M=1 the size-5 solve takes 1.5 s (structure) and 5.2 s
 (substructure), best of four on a 2-vCPU VM.  The automorphisms come from
 starcut.symmetry, which finds and verifies them lazily, one Orbits object
 per coloring, and only on regular graphs.

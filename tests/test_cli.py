@@ -208,6 +208,23 @@ def test_roundtrip_3dm_pass(files, tmp_path, capsys):
     assert (tmp_path / "rt.roles").exists()
 
 
+def test_roundtrip_3dm_time_limit_zero_is_inconclusive(files, tmp_path, capsys):
+    src = files("one.3dm", ONE_3DM)
+    prefix = str(tmp_path / "rt")
+    code = run(["roundtrip", "3dm", "--in", src, "--allow-unrestricted",
+                "--time-limit", "0", "--out-prefix", prefix])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert out == [
+        "decision-source YES",
+        "decision-gadget INCONCLUSIVE",
+        "verdict INCONCLUSIVE",
+    ]
+    assert (tmp_path / "rt.report").read_text() == (
+        "decision-source YES\ndecision-gadget INCONCLUSIVE\nverdict INCONCLUSIVE\n"
+    )
+
+
 def test_roundtrip_vc_writes_out_prefix_files(files, tmp_path, capsys):
     g = files("p3.graph", P3)
     prefix = str(tmp_path / "rt")

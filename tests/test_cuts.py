@@ -42,6 +42,13 @@ def test_star_rejects_center_among_leaves():
         Star(2, (1, 2))
 
 
+def test_star_rejects_negative_ids():
+    with pytest.raises(ValueError):
+        Star(-1)
+    with pytest.raises(ValueError):
+        Star(0, (-1,))
+
+
 def test_canonical_star_flips_single_edge():
     assert canonical_star(5, (2,)) == Star(2, (5,))
     assert canonical_star(2, (5,)) == Star(2, (5,))
@@ -83,6 +90,10 @@ def test_family_kind_bounds():
         CutFamily(SUBSTRUCTURE, 1, (Star(0, (1, 2)),))
     CutFamily(SUBSTRUCTURE, 2, (Star(0, (1,)),))
     CutFamily(STRUCTURE, 0, (Star(0, ()),))
+    with pytest.raises(ValueError):
+        CutFamily("star", 1)
+    with pytest.raises(ValueError):
+        CutFamily(STRUCTURE, -1)
 
 
 def test_family_requires_disjoint_elements():

@@ -100,6 +100,7 @@ def test_graph_comments_skipped():
         ("p edge 3 0\n", 1, None),  # valid: no error expected marker below
         ("p edge 3 1\nx 1 2\n", 2, "expected an `e"),
         ("p edge 3 1\ne 1\n", 2, "expected `e <u> <v>`"),
+        ("p edge 3 1\ne 1 x\n", 2, "integer"),
     ],
 )
 def test_graph_malformed(text, line, hint):
@@ -160,6 +161,7 @@ def test_cut_orientation_preserved():
         ("cut substructure 2 2\ns 1 2\ns 3 2\n", 3, "appears in two elements"),
         ("cut substructure 2 2\ns 1 2\n", 3, "expected 2 elements"),
         ("cut substructure 2 1\ns 1 2\ns 3 4\n", 3, "more than the declared"),
+        ("cut structure -1 0\n", 1, "nonnegative"),
     ],
 )
 def test_cut_malformed(text, line, hint):
@@ -203,6 +205,7 @@ def test_3dm_preserves_triple_order():
         ("3dm 2 1\nx 1 2 2\n", 2, "expected a `t"),
         ("3dm 2 2\nt 1 1 1\n", 3, "expected 2 triples"),
         ("3dm 2 1\nt 1 1 1\nt 2 2 2\n", 3, "more than the declared"),
+        ("3dm 2\n", 1, "expected `3dm"),
     ],
 )
 def test_3dm_malformed(text, line, hint):
@@ -264,3 +267,67 @@ def test_graph_roundtrip_random(n, p, seed):
     text = write_graph(g)
     assert parse_graph(text) == g
     assert write_graph(parse_graph(text)) == text
+
+
+@st.composite
+def _valid_cut_texts(draw):
+    kind = draw(st.sampled_from([STRUCTURE, SUBSTRUCTURE]))
+    m = draw(st.integers(0, 3))
+    ids = iter(draw(st.permutations(range(16))))
+    stars = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = m if kind == STRUCTURE else draw(st.integers(0, m))
+        center = next(ids)
+        stars.append(Star(center, tuple(sorted(next(ids) for _ in range(k)))))
+    return write_cut(CutFamily(kind, m, tuple(stars)))
+
+
+_CUT_TOKENS = ["s", "c", "cut", STRUCTURE, SUBSTRUCTURE, "-1", "0", "1", "2", "3", "7", "12", "x"]
+_CUT_LINES = ["", "s", "s 1", "s 1 1", "c hi", "cut structure 1 1"]
+
+
+@st.composite
+def _mutated_cut_texts(draw):
+    rows = [line.split() for line in draw(_valid_cut_texts()).splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "dup", "swap", "replace"]))
+        if not any(rows) or draw(st.booleans()):
+            # a whole line
+            a = draw(st.integers(0, max(len(rows) - 1, 0)))
+            if not rows or op == "replace":
+                rows[a:a + 1] = [draw(st.sampled_from(_CUT_LINES)).split()]
+            elif op == "drop":
+                del rows[a]
+            elif op == "dup":
+                rows.insert(a, list(rows[a]))
+            else:
+                b = draw(st.integers(0, len(rows) - 1))
+                rows[a], rows[b] = rows[b], rows[a]
+            continue
+        # one token of a nonempty line
+        row = draw(st.sampled_from([r for r in rows if r]))
+        at = draw(st.integers(0, len(row) - 1))
+        if op == "drop":
+            del row[at]
+        elif op == "dup":
+            row.insert(at, row[at])
+        elif op == "swap":
+            b = draw(st.integers(0, len(row) - 1))
+            row[at], row[b] = row[b], row[at]
+        else:
+            row[at] = draw(st.sampled_from(_CUT_TOKENS))
+    return "\n".join(" ".join(r) for r in rows) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_cut_texts())
+def test_parse_cut_mutations_parse_back_or_name_a_line(text):
+    # A mutated text either parses to the family it spells out, canonical
+    # byte for byte, or fails as a ParseError on a line of the text or the
+    # one after it; no other exception may escape.
+    try:
+        fam = parse_cut(text)
+    except ParseError as err:
+        assert 1 <= err.line <= len(text.splitlines()) + 1
+    else:
+        assert write_cut(fam) == text

@@ -60,6 +60,15 @@ def test_build_rejects_out_of_range(bad):
         build(3, [bad])
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: build(-1, []), lambda: star(-1), lambda: cycle(2)],
+    ids=["build-negative", "star-negative", "cycle-2"],
+)
+def test_constructors_reject_bad_sizes(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_edges_sorted_unique():
     g = build(4, [(3, 2), (1, 0), (0, 2)])
     assert tuple(g.edges()) == ((0, 1), (0, 2), (2, 3))

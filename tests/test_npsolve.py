@@ -178,6 +178,7 @@ def test_is_vertex_cover():
     assert is_vertex_cover(g, (1, 2))
     assert not is_vertex_cover(g, (0, 3))
     assert is_vertex_cover(build(3, []), ())
+    assert not is_vertex_cover(path(3), (5,))
 
 
 def test_solve_vertex_cover_p3():

@@ -1134,6 +1134,8 @@ def test_oracle_refuses_oversize_graphs():
     g = cycle(16)
     with pytest.raises(ValueError, match="above the size cap 14"):
         oracle_connectivity(g, 1, STRUCTURE, 4)
+    with pytest.raises(ValueError, match="unknown cut kind"):
+        oracle_connectivity(path(3), 1, "star", 2)
 
 
 @settings(deadline=None, max_examples=60)
