@@ -91,17 +91,15 @@ def _cmd_verify(args) -> int:
 
 
 def _gadget_3dm(args):
-    """Matching gadget: (reduction, source solver, gadget solver, decoder)."""
-    inst = parse_3dm(_read(args.infile))
-    red = reduce_3dm(inst, args.M, allow_unrestricted=args.allow_unrestricted)
-    return red, solve_3dm, structure_connectivity, extract_matching
+    """Matching gadget: (reduction, gadget solver, decoder)."""
+    red = reduce_3dm(args.read(args), args.M, allow_unrestricted=args.allow_unrestricted)
+    return red, structure_connectivity, extract_matching
 
 
 def _gadget_vc(args):
-    """Cover gadget: (reduction, source solver, gadget solver, decoder)."""
-    g = parse_graph(_read(args.graph))
-    red = reduce_vertex_cover(VertexCoverInstance(g, args.k))
-    return red, solve_vertex_cover, substructure_connectivity, extract_cover
+    """Cover gadget: (reduction, gadget solver, decoder)."""
+    red = reduce_vertex_cover(args.read(args))
+    return red, substructure_connectivity, extract_cover
 
 
 def _write_gadget(prefix: str, red) -> None:
@@ -119,17 +117,9 @@ def _cmd_reduce(args) -> int:
     return EXIT_YES
 
 
-def _cmd_oracle_3dm(args) -> int:
-    inst = parse_3dm(_read(args.infile))
-    found = solve_3dm(inst)
-    _print_ids("matching", found)
-    return EXIT_NO if found is None else EXIT_YES
-
-
-def _cmd_oracle_vc(args) -> int:
-    g = parse_graph(_read(args.graph))
-    found = solve_vertex_cover(VertexCoverInstance(g, args.k))
-    _print_ids("cover", found)
+def _cmd_oracle_source(args) -> int:
+    found = args.solve_source(args.read(args))
+    _print_ids(args.answer, found)
     return EXIT_NO if found is None else EXIT_YES
 
 
@@ -168,8 +158,8 @@ def _report(source_yes: bool, res, out_prefix, red) -> int:
 
 def _cmd_roundtrip(args) -> int:
     opts = _options(args)
-    red, solve_source, solve_gadget, decode = args.gadget(args)
-    source = solve_source(red.source)
+    red, solve_gadget, decode = args.gadget(args)
+    source = args.solve_source(red.source)
     # red.parameter is the decision bound: ground-set size or cover budget
     res = solve_gadget(red.graph, red.m, red.parameter, opts)
     if res.certificate is not None:
@@ -193,6 +183,26 @@ def _cmd_gen_graph(args) -> int:
 def _cmd_gen_3dm(args) -> int:
     inst = gen_random_3dm(args.n, args.extra, not args.unsolvable, args.seed)
     return _emit(write_3dm(inst), args.out)
+
+
+def _add_3dm_source(p, gadget=False):
+    """Declare the matching source: flags, reader, solver, answer word, gadget."""
+    p.add_argument("--in", dest="infile", required=True, help="3dm instance file")
+    if gadget:
+        p.add_argument("--M", type=int, default=5, help="leaves per star, at least 5 (default 5)")
+        p.add_argument("--allow-unrestricted", action="store_true",
+                       help="skip the occurrence-count restriction check")
+    p.set_defaults(read=lambda args: parse_3dm(_read(args.infile)), solve_source=solve_3dm,
+                   answer="matching", gadget=_gadget_3dm)
+
+
+def _add_vc_source(p, gadget=False):
+    """Declare the cover source likewise; its gadget takes no flags of its own."""
+    p.add_argument("--graph", required=True)
+    p.add_argument("--k", type=int, required=True, help="cover budget")
+    p.set_defaults(
+        read=lambda args: VertexCoverInstance(parse_graph(_read(args.graph)), args.k),
+        solve_source=solve_vertex_cover, answer="cover", gadget=_gadget_vc)
 
 
 def _add_cut_flags(p):
@@ -234,30 +244,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("reduce-3dm", help="matching instance -> structure gadget")
-    p.add_argument("--in", dest="infile", required=True, help="3dm instance file")
-    p.add_argument("--M", type=int, default=5, help="leaves per star, at least 5 (default 5)")
+    _add_3dm_source(p, gadget=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--allow-unrestricted", action="store_true",
-                   help="skip the occurrence-count restriction check")
-    p.set_defaults(func=_cmd_reduce, gadget=_gadget_3dm)
+    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("reduce-vc", help="cover instance -> substructure gadget")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True, help="cover budget")
+    _add_vc_source(p, gadget=True)
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=_cmd_reduce, gadget=_gadget_vc)
+    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("oracle", help="independent brute-force references")
     osub = p.add_subparsers(dest="mode", required=True)
 
     q = osub.add_parser("3dm", help="exhaustive matching search")
-    q.add_argument("--in", dest="infile", required=True)
-    q.set_defaults(func=_cmd_oracle_3dm)
+    _add_3dm_source(q)
+    q.set_defaults(func=_cmd_oracle_source)
 
     q = osub.add_parser("vc", help="exhaustive cover search")
-    q.add_argument("--graph", required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.set_defaults(func=_cmd_oracle_vc)
+    _add_vc_source(q)
+    q.set_defaults(func=_cmd_oracle_source)
 
     q = osub.add_parser("kappa", help="connectivity by subset enumeration")
     q.add_argument("--graph", required=True)
@@ -271,20 +276,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="source decision vs gadget decision, with decode")
     rsub = p.add_subparsers(dest="mode", required=True)
 
-    q = rsub.add_parser("3dm")
-    q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--M", type=int, default=5)
-    q.add_argument("--allow-unrestricted", action="store_true")
-    q.add_argument("--out-prefix", default=None)
-    _add_solver_flags(q)
-    q.set_defaults(func=_cmd_roundtrip, gadget=_gadget_3dm)
-
-    q = rsub.add_parser("vc")
-    q.add_argument("--graph", required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--out-prefix", default=None)
-    _add_solver_flags(q)
-    q.set_defaults(func=_cmd_roundtrip, gadget=_gadget_vc)
+    for mode, add_source in (("3dm", _add_3dm_source), ("vc", _add_vc_source)):
+        q = rsub.add_parser(mode)
+        add_source(q, gadget=True)
+        q.add_argument("--out-prefix", default=None)
+        _add_solver_flags(q)
+        q.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("gen", help="seeded random inputs")
     gsub = p.add_subparsers(dest="mode", required=True)

@@ -136,47 +136,33 @@ def reduce_3dm(
         )
     n = inst.n
     clique_size = (m + 1) * t
-    base_elem = t
-    base_cliq = t + 3 * n
-    base_blocks = base_cliq + (m - 3) * clique_size
-    base_tail = base_blocks + 3 * n * m
-    total = base_tail + 3 * n * m
-
-    roles: list[VertexRole] = []
-    for k in range(1, t + 1):
-        roles.append(VertexRole(TRIPLE, k))
-    for l in range(1, 3 * n + 1):
-        roles.append(VertexRole(ELEM, l))
-    for j in range(1, m - 2):
-        for i in range(1, clique_size + 1):
-            roles.append(VertexRole(CLIQ, i, j))
-    for l in range(1, 3 * n + 1):
-        for i in range(1, m + 1):
-            roles.append(VertexRole(UBLK, i, l))
-    for i in range(1, 3 * n * m + 1):
-        roles.append(VertexRole(UPRM, i))
-
-    edges: list[tuple[int, int]] = [
-        (k, base_elem + slot)
+    tail = 3 * n * m
+    # Each block is appended in id order, so its first id is len(roles).
+    roles = [VertexRole(TRIPLE, k) for k in range(1, t + 1)]
+    roles += [VertexRole(ELEM, l) for l in range(1, 3 * n + 1)]
+    edges = [
+        (k, t + slot)
         for k, triple in enumerate(inst.triples)
         for slot in element_slots(n, triple)
     ]
     cliques = []
-    for j in range(m - 3):
-        lo = base_cliq + j * clique_size
+    for j in range(1, m - 2):
+        lo = len(roles)
+        roles += [VertexRole(CLIQ, i, j) for i in range(1, clique_size + 1)]
         cliques.append((lo, clique_size))
-        for k in range(t):
-            edges.append((k, lo + k))
-    for l in range(3 * n):
-        lo = base_blocks + l * m
+        edges += [(k, lo + k) for k in range(t)]
+    for l in range(1, 3 * n + 1):
+        lo = len(roles)
+        roles += [VertexRole(UBLK, i, l) for i in range(1, m + 1)]
         cliques.append((lo, m))
-        edges.append((base_elem + l, lo + m - 1))
-    cliques.append((base_tail, 3 * n * m))
-    for i in range(3 * n * m):
-        edges.append((base_blocks + i, base_tail + i))
-
+        edges.append((t + l - 1, lo + m - 1))
+    lo = len(roles)
+    roles += [VertexRole(UPRM, i) for i in range(1, tail + 1)]
+    cliques.append((lo, tail))
+    # the 3n blocks just below hold `tail` ids in all, one partner per tail vertex
+    edges += [(v - tail, v) for v in range(lo, lo + tail)]
     red = ReducedInstance(
-        graph=_join_cliques(build(total, edges), cliques),
+        graph=_join_cliques(build(len(roles), edges), cliques),
         roles=tuple(roles),
         parameter=n,
         m=m,
@@ -213,13 +199,13 @@ def audit_reduced_3dm(red: ReducedInstance) -> None:
     n = inst.n
     clique_size = (m + 1) * t
     tail = 3 * n * m
-    expected = t + 3 * n + (m - 3) * clique_size + 2 * tail
+    layout = {TRIPLE: t, ELEM: 3 * n, CLIQ: (m - 3) * clique_size, UBLK: tail, UPRM: tail}
+    expected = sum(layout.values())
     if g.n != expected:
         raise AssertionError(f"gadget has {g.n} vertices, expected {expected}")
     if red.parameter != n:
         raise AssertionError("decision bound must equal the ground-set size")
     occ = element_occurrences(inst)
-    layout = {TRIPLE: t, ELEM: 3 * n, CLIQ: (m - 3) * clique_size, UBLK: tail, UPRM: tail}
     counts = dict.fromkeys(layout, 0)
     for v, role in enumerate(red.roles):
         if role.tag == TRIPLE:
@@ -302,23 +288,16 @@ def reduce_vertex_cover(inst: VertexCoverInstance) -> ReducedInstance:
     """
     g = inst.graph
     n = g.n
-    delta = max((g.degree(v) for v in range(n)), default=0)
-    k = inst.k
-    roles: list[VertexRole] = [VertexRole(ORIG, i + 1) for i in range(n)]
-    edges: list[tuple[int, int]] = list(g.edges())
-    cliques = []
-    for j in range(1, k + 3):
-        lo = n * j
-        cliques.append((lo, n))
-        for i in range(n):
-            edges.append((i, lo + i))
-        for i in range(1, n + 1):
-            roles.append(VertexRole(CLIQ, i, j))
+    roles = [VertexRole(ORIG, i + 1) for i in range(n)]
+    roles += [VertexRole(CLIQ, i, j) for j in range(1, inst.k + 3) for i in range(1, n + 1)]
+    # clique vertex v is the (v % n + 1)-th of its clique and taps original v % n
+    edges = list(g.edges()) + [(v % n, v) for v in range(n, len(roles))]
+    cliques = [(lo, n) for lo in range(n, len(roles), n)]
     red = ReducedInstance(
-        graph=_join_cliques(build(n * (k + 3), edges), cliques),
+        graph=_join_cliques(build(len(roles), edges), cliques),
         roles=tuple(roles),
-        parameter=k,
-        m=delta,
+        parameter=inst.k,
+        m=max((g.degree(v) for v in range(n)), default=0),
         source=inst,
     )
     audit_reduced_vc(red)

@@ -280,15 +280,42 @@ def test_gen_3dm_unsolvable(files, capsys):
     assert solve_3dm(inst) is None
 
 
-def test_missing_file_is_an_error(capsys):
-    assert run(["solve", "--graph", "/nonexistent.graph", "--M", "1", "--tmax", "1"]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_missing_file_is_an_error(tmp_path, capsys):
+    missing = "/nonexistent.source"
+    out = str(tmp_path / "x")
+    for argv in (
+        ["solve", "--graph", missing, "--M", "1", "--tmax", "1"],
+        ["oracle", "3dm", "--in", missing],
+        ["reduce-vc", "--graph", missing, "--k", "1", "--out-prefix", out],
+    ):
+        assert run(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_parse_error_reports_line(files, capsys):
     g = files("bad.graph", "p edge 2 1\ne 1 1\n")
-    assert run(["oracle", "vc", "--graph", g, "--k", "1"]) == 2
-    assert "line 2" in capsys.readouterr().err
+    bad_3dm = files("bad.3dm", "3dm 2 1\nt 1 2 3\n")
+    for argv in (
+        ["oracle", "vc", "--graph", g, "--k", "1"],
+        ["oracle", "3dm", "--in", bad_3dm],
+        ["roundtrip", "3dm", "--in", bad_3dm],
+    ):
+        assert run(argv) == 2
+        assert "line 2" in capsys.readouterr().err
+
+
+def test_cover_budget_out_of_range_is_an_error(files, tmp_path, capsys):
+    g = files("p3.graph", P3)
+    out = str(tmp_path / "x")
+    for argv in (
+        ["reduce-vc", "--graph", g, "--k", "3", "--out-prefix", out],
+        ["oracle", "vc", "--graph", g, "--k", "3"],
+        ["roundtrip", "vc", "--graph", g, "--k", "3", "--out-prefix", out],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "1 <= k < n" in captured.err and not captured.out
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_unknown_command_exits_via_argparse():
