@@ -72,11 +72,9 @@ def _print_ids(word: str, ids) -> None:
 
 def _cmd_solve(args) -> int:
     g = parse_graph(_read(args.graph))
-    if args.sub:
-        res = substructure_connectivity(g, args.M, args.tmax, _options(args))
-        return _print_result(SUBSTRUCTURE, args.M, res)
-    res = structure_connectivity(g, args.M, args.tmax, _options(args))
-    return _print_result(STRUCTURE, args.M, res)
+    kind = SUBSTRUCTURE if args.sub else STRUCTURE
+    solver = substructure_connectivity if args.sub else structure_connectivity
+    return _print_result(kind, args.M, solver(g, args.M, args.tmax, _options(args)))
 
 
 def _cmd_verify(args) -> int:
@@ -312,6 +310,9 @@ def run(argv=None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

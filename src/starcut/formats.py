@@ -141,7 +141,7 @@ def parse_cut(text: str) -> CutFamily:
     for line_no, toks in lines:
         last = line_no
         if toks[0] != "s":
-            raise ParseError(line_no, f"expected an `s <center> <leaf>...` line")
+            raise ParseError(line_no, "expected an `s <center> <leaf>...` line")
         if len(stars) == t:
             raise ParseError(line_no, f"more than the declared {t} elements")
         ids = [_int_token(tok, line_no, "vertex id") for tok in toks[1:]]

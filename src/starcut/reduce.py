@@ -331,7 +331,7 @@ def audit_reduced_vc(red: ReducedInstance) -> None:
             if g.masks[v] & ~clique != 1 << (role.i - 1):
                 raise AssertionError(
                     f"clique vertex {v} must have exactly its original as the "
-                    f"one neighbor outside its clique"
+                    "one neighbor outside its clique"
                 )
         else:
             raise AssertionError(f"unexpected role {role.tag} in a cover gadget")

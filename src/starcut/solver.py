@@ -207,7 +207,8 @@ class _Engine:
         # memo_tau[alive]: proven "no single cutting star centered above this
         # threshold inside `alive`".  Family-size independent.
         self.memo_tau: dict[int, int] = {}
-        self.deadline: float | None = None
+        limit = opts.time_limit
+        self.deadline = None if limit is None else time.monotonic() + limit
         # The current slots == 2 frame, P alive with a first star at c1:
         # (P - N_P[c1], N_P(c1)), or None when no such frame holds (t = 1).
         # joined / split mark the later centers whose shared Z test
@@ -454,8 +455,6 @@ def _connectivity(
     opts = options or SearchOptions()
     _validate_inputs(g, m, t_max)
     engine = _Engine(g, m, kind, opts)
-    if opts.time_limit is not None:
-        engine.deadline = time.monotonic() + opts.time_limit
     cap = min(t_max, g.n // (m + 1) if kind == STRUCTURE else g.n)
     settled, family = 0, None
     # Orbit queries run only on regular graphs, so the irregular corpus and
@@ -526,11 +525,6 @@ def _absorbing_stars(
                 for leaf in combo:
                     smask |= 1 << leaf
                 yield c, smask
-
-
-def _star_from_mask(smask: int, center: int) -> Star:
-    leaves = tuple(bits(smask & ~(1 << center)))
-    return canonical_star(center, leaves)
 
 
 def _best_partition(
@@ -614,7 +608,7 @@ def oracle_connectivity(
     assert best_stars is not None
     stars = tuple(
         sorted(
-            (_star_from_mask(smask, center) for center, smask in best_stars),
+            (canonical_star(c, bits(smask & ~(1 << c))) for c, smask in best_stars),
             key=Star.sort_key,
         )
     )

@@ -81,7 +81,8 @@ class Orbits:
                 break
             if color[r] != want or leader[r] != r:
                 continue
-            sigma = self._map(r, x)
+            step = self._fix(color, color, r, x)
+            sigma = None if step is None else self._extend(*step)
             if sigma is not None:
                 for v, w in enumerate(sigma):
                     a, b = self._find(v), self._find(w)
@@ -109,10 +110,26 @@ class Orbits:
         return x
 
     def _distances(self, u: int) -> list[int]:
-        got = self.dist.get(u)
-        if got is None:
-            got = self.dist[u] = _distances(self.g, u)
-        return got
+        """BFS distance from u to every vertex, cached in dist."""
+        out = self.dist.get(u)
+        if out is not None:
+            return out
+        masks = self.g.masks
+        out = self.dist[u] = [0] * self.g.n
+        seen = frontier = 1 << u
+        d = 0
+        while frontier:
+            d += 1
+            nxt = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                nxt |= masks[bit.bit_length() - 1]
+            frontier = nxt & ~seen
+            seen |= frontier
+            for x in bits(frontier):
+                out[x] = d
+        return out
 
     def _fix(self, col_a: list[int], col_b: list[int], a: int, b: int):
         # One step: split both colorings by distance to a, resp. b.
@@ -156,34 +173,6 @@ class Orbits:
                 if sigma is not None:
                     return sigma
         return None
-
-    def _map(self, r: int, x: int) -> list[int] | None:
-        """An automorphism σ that keeps the coloring with σ(r) = x, or None.
-
-        None also once the budget runs out.
-        """
-        step = self._fix(self.color, self.color, r, x)
-        return None if step is None else self._extend(*step)
-
-
-def _distances(g: Graph, u: int) -> list[int]:
-    """BFS distance from u to every vertex of the connected graph g."""
-    masks = g.masks
-    out = [0] * g.n
-    seen = frontier = 1 << u
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            nxt |= masks[bit.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= frontier
-        for x in bits(frontier):
-            out[x] = d
-    return out
 
 
 def _is_automorphism(g: Graph, sigma: list[int]) -> bool:

@@ -292,6 +292,18 @@ def test_missing_file_is_an_error(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_recursion_overflow_is_inconclusive(tmp_path, capsys):
+    # solve_3dm recurses once per chosen triple, so a planted matching of
+    # 1200 triples overflows the stack before any answer: exit 3, not NO.
+    big = str(tmp_path / "big.3dm")
+    assert run(["gen", "3dm", "--n", "1200", "--seed", "1", "--out", big]) == 0
+    capsys.readouterr()
+    assert run(["oracle", "3dm", "--in", big]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_parse_error_reports_line(files, capsys):
     g = files("bad.graph", "p edge 2 1\ne 1 1\n")
     bad_3dm = files("bad.3dm", "3dm 2 1\nt 1 2 3\n")
