@@ -9,6 +9,7 @@ certificate is re-verified by an independent checker before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graph import Graph, bits
 
@@ -102,7 +103,8 @@ def solve_3dm(inst: ThreeDMInstance) -> tuple[int, ...] | None:
     triples (fail-first, lowest slot on ties), trying its triples in index
     order, which keeps desk-scale instances instant.  The state is one
     bitmask of covered W slots; a triple is free while its slot mask misses
-    it.
+    it.  The backtracking keeps its own stack, one branch per chosen triple,
+    so the matching size is not bounded by Python's recursion limit.
     """
     n = inst.n
     # candidates[slot] = triple indices touching that W slot (0..3n-1).
@@ -114,12 +116,10 @@ def solve_3dm(inst: ThreeDMInstance) -> tuple[int, ...] | None:
             candidates[s].append(i)
             mask |= 1 << s
         masks.append(mask)
-    picked: list[int] = []
 
-    def search(covered: int) -> bool:
-        if len(picked) == n:
-            return True
-        # Fail-first: branch on the scarcest uncovered slot.
+    def branch(covered: int) -> Iterator[int]:
+        # Fail-first: the free triples of the scarcest uncovered slot, none
+        # when some uncovered slot has no free triple left.
         best_slot = -1
         best = None
         for slot in range(3 * n):
@@ -127,20 +127,28 @@ def solve_3dm(inst: ThreeDMInstance) -> tuple[int, ...] | None:
                 continue
             c = sum(1 for i in candidates[slot] if not masks[i] & covered)
             if c == 0:
-                return False
+                return
             if best is None or c < best:
                 best, best_slot = c, slot
         for i in candidates[best_slot]:
-            if masks[i] & covered:
-                continue
-            picked.append(i)
-            if search(covered | masks[i]):
-                return True
-            picked.pop()
-        return False
+            if not masks[i] & covered:
+                yield i
 
-    if not search(0):
-        return None
+    picked: list[int] = []
+    covered = 0
+    # pending[k] yields the untried triples below the first k picks.
+    pending = [branch(0)]
+    while len(picked) < n:
+        i = next(pending[-1], None)
+        if i is not None:
+            picked.append(i)
+            covered |= masks[i]
+            pending.append(branch(covered))
+            continue
+        pending.pop()
+        if not picked:
+            return None
+        covered ^= masks[picked.pop()]
     result = tuple(sorted(picked))
     if not verify_matching(inst, result):
         raise AssertionError("solver produced an invalid matching certificate")

@@ -19,13 +19,14 @@ places the last star and tests each of its leaf sets in place.  The caller's
 time_limit bounds the whole call: the deadline is polled on entry to every
 node, at every center a node tries, and once per leaf set tested.
 
-Two pruning rules and a memo cut the search; each stays because switching
+Three pruning rules and a memo cut the search; each stays because switching
 it off was measured to slow the benchmark down, and none changes values or
 certificates.  The minimum-degree bound rules out a subtree whose alive set
 has no vertex of low enough degree to sit in the smallest remaining
 component; the hopeless-center rule (below) settles a last-level center
-without trying its leaf sets; memo_tau remembers, per alive set, the
-centers already ruled out at the last level.  The rule and the test of
+without trying its leaf sets; the sibling frame (below) settles one for
+every sibling first star at once; memo_tau remembers, per alive set, the
+centers already ruled out at the last level.  The rules and the test of
 each last star rest on the remainder walk.
 
 Complete graphs need no rule of their own.  The last star is placed only
@@ -63,6 +64,17 @@ lemma proved it, which changes no verdict:
   reaches it, then stands in for the BFS over Z of all of them; when it
   fails, and at size 1, which has no such frame, the BFS over Z runs as
   before.
+- Sibling corollary: if moreover |Zmin| >= 2 and every vertex of N_P(c) -
+  c1 has a neighbor in Zmin, then no star at c cuts under any sibling L1,
+  whatever the kind, M, strict_trivial or induced.  Proof: Z(L1) contains
+  Zmin and is connected by the lemma.  The alive neighbors nb of c under L1
+  lie in N_P(c) - c1, so each has a neighbor in Zmin, off is empty, and R =
+  Z + (nb - L) is connected for every leaf set L, with |R| >= |Zmin| >= 2,
+  so R is neither split nor trivial.  The first sibling to reach c runs
+  the test and records c as settled, and its _last_star call returns at
+  once; the slots == 1 nodes of later siblings skip c before any other
+  work.  memo_tau stays true: it records only that no star above its
+  threshold cuts.
 
 Stabilizer lemma: let H be any group of verified automorphisms that fix
 every star placed so far, each with its center fixed.  Then the next star's
@@ -109,8 +121,8 @@ so the search prunes by the first leaf only.  Two limits hold:
   against 0.09 s.
 - No leaf pruning at slots == 2.  A variant that pruned there took 0.12 s
   per hypercube bench pass against 0.09 s.
-On Q6 with M=1 the size-5 solve takes 1.5 s (structure) and 5.2 s
-(substructure), best of four on a 2-vCPU VM.  The automorphisms come from
+On Q6 with M=1 the size-5 solve takes 1.1 s (structure) and 3.8 s
+(substructure), best of six on a 2-vCPU VM.  The automorphisms come from
 starcut.symmetry, which finds and verifies them lazily, one Orbits object
 per coloring, and only on regular graphs.
 
@@ -212,10 +224,13 @@ class _Engine:
         # The current slots == 2 frame, P alive with a first star at c1:
         # (P - N_P[c1], N_P(c1)), or None when no such frame holds (t = 1).
         # joined / split mark the later centers whose shared Z test
-        # (_siblings_joined) passed / failed under this c1.
+        # (_siblings_joined) passed / failed under this c1.  settled marks
+        # the joined centers where the sibling corollary holds: no star cuts
+        # there under any sibling, so the frame's slots == 1 nodes skip them.
         self.frame: tuple[int, int] | None = None
         self.joined = 0
         self.split = 0
+        self.settled = 0
         # BFS distances from each vertex, shared by every orbit query.
         self.dist: dict[int, list[int]] = {}
 
@@ -264,7 +279,15 @@ class _Engine:
         # R = alive - S holds Z, so R can be trivial only when |Z| <= 1.
         lone = not z & (z - 1)
         # Is Z a connected seed for the remainder walk (module docstring)?
-        joined = z and (self.joined >> c & 1 or self._siblings_joined(c) or mask_connected(g, z))
+        # The sibling test that proves it may also settle c for the frame.
+        if self.joined >> c & 1:
+            joined = True
+        elif z and self._siblings_joined(c):
+            if self.settled >> c & 1:
+                return None
+            joined = True
+        else:
+            joined = z and mask_connected(g, z)
         if joined:
             off = 0
             rest = nb
@@ -299,12 +322,13 @@ class _Engine:
         """Enter a slots == 2 frame: every last star now sees alive minus a star at c1."""
         nb = self.g.masks[c1] & alive
         self.frame = (alive & ~nb & ~(1 << c1), nb)
-        self.joined = self.split = 0
+        self.joined = self.split = self.settled = 0
 
     def _siblings_joined(self, c: int) -> bool:
         # The sibling lemma (module docstring), tested once per (c1, c), as
         # the caller reads joined first.  True proves Z connected for every
         # leaf set of the first star at c1; False means only "unknown".
+        # Where it holds, it also asks whether the frame settles c.
         cbit = 1 << c
         if self.split & cbit or self.frame is None:
             return False
@@ -320,9 +344,26 @@ class _Engine:
             ok = bool(masks[bit.bit_length() - 1] & zmin)
         if ok and mask_connected(self.g, zmin):
             self.joined |= cbit
+            if self._frame_settles(c, zmin):
+                self.settled |= cbit
             return True
         self.split |= cbit
         return False
+
+    def _frame_settles(self, c: int, zmin: int) -> bool:
+        # The sibling corollary (module docstring), given G[Zmin] connected:
+        # |Zmin| >= 2 and every vertex of N_P(c) - c1 has a neighbor in Zmin.
+        if not zmin & (zmin - 1):
+            return False
+        rest, nb1 = self.frame
+        masks = self.g.masks
+        nb = masks[c] & (rest | nb1)
+        while nb:
+            bit = nb & -nb
+            nb ^= bit
+            if not masks[bit.bit_length() - 1] & zmin:
+                return False
+        return True
 
     def _orbits(self, *cells: int) -> Orbits:
         """Orbit queries under the automorphisms that keep each mask in cells.
@@ -375,11 +416,12 @@ class _Engine:
     ) -> list[tuple[int, int]] | None:
         """(c, leaf mask) of the least `slots` stars centered above pmax that cut `alive`.
 
-        The node tries each center above pmax.  A slots == 1 node consults
-        and tightens memo_tau and asks _last_star at each center; others
-        recurse below each of its stars, and a slots == 2 node opens the
-        sibling frame.  orbits answers under the automorphisms that keep the
-        placed stars, its cells (stabilizer lemma).  Given one, the node
+        The node walks the alive centers above pmax in increasing order.  A
+        slots == 1 node consults and tightens memo_tau, drops the centers
+        its sibling frame settled, and asks _last_star at each other center;
+        others recurse below each of its stars, and a slots == 2 node opens
+        the sibling frame.  orbits answers under the automorphisms that keep
+        the placed stars, its cells (stabilizer lemma).  Given one, the node
         skips the centers that follow a smaller vertex; with slots >= 3 it
         also skips each leaf set whose least leaf follows a smaller vertex
         under the automorphisms that also fix c, and hands each child the
@@ -397,11 +439,16 @@ class _Engine:
                 return None
         masks, m = g.masks, self.m
         deep = orbits and slots >= 3
-        for c in range(pmax + 1, tau + 1):
+        # The alive centers in (pmax, tau], less the frame's settled ones at
+        # the last level, which cut under no sibling (module docstring).
+        live = alive & (2 << tau) - (1 << pmax + 1)
+        if slots == 1:
+            live &= ~self.settled
+        while live:
             self._check_deadline()
-            cbit = 1 << c
-            if not alive & cbit:
-                continue
+            cbit = live & -live
+            live ^= cbit
+            c = cbit.bit_length() - 1
             nb = masks[c] & alive
             # No exact star fits here.  The test costs hypercube about 1% and
             # saves gadget about 2%, where it spares _last_star's analysis.

@@ -29,14 +29,16 @@ from starcut import (
 from starcut.solver import _Engine
 
 # The solver's prune rules.  The predicates return True to rule a subtree
-# or a center out.  _orbits builds the query object behind every skip of
-# the stabilizer lemma, and the search skips nothing where it gets a falsy
-# one.  So patching each to return False switches that rule off.
-PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless", "_orbits")
+# or a center out; _frame_settles rules a last-level center out for every
+# sibling of a slots == 2 frame.  _orbits builds the query object behind
+# every skip of the stabilizer lemma, and the search skips nothing where it
+# gets a falsy one.  So patching each to return False switches that rule off.
+PRUNE_RULES = ("_degree_bound_miss", "_center_hopeless", "_orbits", "_frame_settles")
 
 # The last level's shared Z test, one per pair of centers, which answers for
-# every sibling leaf set.  Its False means "unknown", so patching it off
-# through pruning_off sends every center to the BFS over Z in _last_star.
+# every sibling leaf set and is the only caller of _frame_settles.  Its
+# False means "unknown", so patching it off through pruning_off sends every
+# center to the BFS over Z in _last_star and settles none for the frame.
 SIBLING_TEST = "_siblings_joined"
 
 

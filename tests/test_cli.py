@@ -19,6 +19,7 @@ from starcut import (
     parse_roles,
     path,
     solve_3dm,
+    verify_matching,
     write_3dm,
     write_graph,
 )
@@ -292,16 +293,28 @@ def test_missing_file_is_an_error(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
-def test_recursion_overflow_is_inconclusive(tmp_path, capsys):
-    # solve_3dm recurses once per chosen triple, so a planted matching of
-    # 1200 triples overflows the stack before any answer: exit 3, not NO.
-    big = str(tmp_path / "big.3dm")
-    assert run(["gen", "3dm", "--n", "1200", "--seed", "1", "--out", big]) == 0
-    capsys.readouterr()
-    assert run(["oracle", "3dm", "--in", big]) == 3
+def test_recursion_overflow_is_inconclusive(files, capsys):
+    # solve_vertex_cover recurses once per chosen vertex.  On a path of 2400
+    # vertices with k = 1200 it takes every other vertex, one level each, so
+    # the stack overflows before any answer: exit 3, not NO.
+    long_path = files("long.graph", write_graph(path(2400)))
+    assert run(["oracle", "vc", "--graph", long_path, "--k", "1200"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_oracle_3dm_answers_a_deep_matching(tmp_path, capsys):
+    # A planted matching of 1200 triples, beyond Python's default recursion
+    # limit: solve_3dm backtracks on its own stack, so the oracle answers.
+    big = str(tmp_path / "big.3dm")
+    assert run(["gen", "3dm", "--n", "1200", "--seed", "1", "--out", big]) == 0
+    capsys.readouterr()
+    assert run(["oracle", "3dm", "--in", big]) == 0
+    word, *ids = capsys.readouterr().out.split()
+    inst = parse_3dm(Path(big).read_text())
+    assert word == "matching"
+    assert verify_matching(inst, tuple(int(i) - 1 for i in ids))
 
 
 def test_parse_error_reports_line(files, capsys):

@@ -757,6 +757,56 @@ def test_sibling_test_skips_the_bfs_for_every_sibling(monkeypatch):
         assert _sibling_verdict(monkeypatch, 8, edges, 0, leaves, 3) == (True, 0)
 
 
+def test_settled_centers_never_cut():
+    # Random frames (alive set P, first star at c1) on small graphs and on
+    # Q4.  The frame settles a later center c once for all siblings, so for
+    # every sibling L1 no leaf set at c may cut P - c1 - L1.  The
+    # single-vertex Zmin cases guard |Zmin| >= 2, where the leaf set that
+    # takes all of nb would leave R = Zmin trivial.  Each alive set keeps
+    # about 3/4 of the vertices, so that Zmin is often nonempty.
+    rng = random.Random(27)
+    graphs = [g for g, *_ in connected_corpus(40, max_n=10)] + [hypercube(4)] * 4
+    fired = lone = 0
+    for g in graphs:
+        for _ in range(6):
+            alive = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+            for m in range(4):
+                for kind in (STRUCTURE, SUBSTRUCTURE):
+                    engine = _Engine(g, m, kind, SearchOptions())
+                    for c1 in bits(alive):
+                        engine._open_frame(alive, c1)
+                        rest, nb1 = engine.frame
+                        for c in bits(alive >> c1 + 1 << c1 + 1):
+                            engine._siblings_joined(c)
+                            zmin = rest & ~g.masks[c] & ~(1 << c)
+                            lone += zmin.bit_count() == 1 and engine.joined >> c & 1
+                        for l1 in engine._leaf_sets(c1, nb1):
+                            sub = alive & ~(1 << c1) & ~l1
+                            dead = g.full_mask & ~sub
+                            for c in bits(engine.settled & sub):
+                                for leaves in engine._leaf_sets(c, g.masks[c] & sub):
+                                    removed = dead | 1 << c | leaves
+                                    for strict in (False, True):
+                                        assert not remainder_is_cut(
+                                            g, removed, strict_trivial=strict
+                                        ), (tuple(g.edges()), alive, m, kind, c1, l1, c, leaves)
+                                fired += 1
+    assert fired > 10000 and lone > 1000, (fired, lone)
+
+
+def test_settled_centers_spare_most_last_stars(monkeypatch):
+    # On Q5 with M = 1 most last-level centers of a frame are settled: each
+    # then costs one _last_star call per frame, not one per sibling.
+    calls = _tally(monkeypatch, _Engine, "_last_star")
+    on = substructure_connectivity(hypercube(5), 1, 4)
+    with_rule = calls["calls"]
+    with pruning_off("_frame_settles"):
+        off = substructure_connectivity(hypercube(5), 1, 4)
+    without = calls["calls"] - with_rule
+    assert on == off and on.value == 4
+    assert with_rule < without / 2, (with_rule, without)
+
+
 def test_sibling_test_is_unknown_without_a_frame(monkeypatch):
     # Size 1 has no slots == 2 frame, so every Z goes through the rule's BFS.
     bfs = _z_bfs(monkeypatch)
