@@ -6,7 +6,8 @@ The search, the verifiers and the reductions work on these vertex sets
 directly.  Neighbor lists and edge lists are read off the masks in
 increasing id order, so every derived artifact (certificates, serialized
 files, search order) is deterministic.  `mask_connected` is one BFS that
-stops at the first round that has reached the whole mask.
+stops at the first round that has reached the whole mask; `mask_span` is one
+that runs to the end and also returns the neighborhood of what it reached.
 """
 
 from __future__ import annotations
@@ -134,6 +135,27 @@ def mask_connected(g: Graph, mask: int) -> bool:
         frontier = nxt & mask & ~reach
         reach |= frontier
     return reach == mask
+
+
+def mask_span(g: Graph, mask: int) -> tuple[int, int]:
+    """(C, N): the component C of G[mask] that holds mask's least vertex, and
+    the OR of the neighbor masks of C's vertices.  Both are 0 for mask 0.
+
+    Unlike mask_connected it never stops early, as N needs every row of C.
+    """
+    masks = g.masks
+    reach = frontier = mask & -mask
+    around = 0
+    while frontier:
+        nxt = 0
+        while frontier:
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            nxt |= masks[v]
+        around |= nxt
+        frontier = nxt & mask & ~reach
+        reach |= frontier
+    return reach, around
 
 
 def is_connected(g: Graph) -> bool:

@@ -61,9 +61,10 @@ lemma proved it, which changes no verdict:
   N[c] and attach = N_P(c1) - N[c].  If G[Zmin] is nonempty and connected and
   every attach vertex has a neighbor in Zmin, then Z(L1) is connected for
   every sibling L1.  One test per (c1, c), made the first time a sibling
-  reaches it, then stands in for the BFS over Z of all of them; when it
-  fails, and at size 1, which has no such frame, the BFS over Z runs as
-  before.
+  reaches it, then stands in for the BFS over Z of all of them.  It is one
+  BFS over Zmin that also collects N(Zmin), so the attach condition, and the
+  corollary's below, is one mask test against N(Zmin).  When it fails, and
+  at size 1, which has no such frame, the BFS over Z runs as before.
 - Sibling corollary: if moreover |Zmin| >= 2 and every vertex of N_P(c) -
   c1 has a neighbor in Zmin, then no star at c cuts under any sibling L1,
   whatever the kind, M, strict_trivial or induced.  Proof: Z(L1) contains
@@ -108,12 +109,14 @@ itself proves nothing below the root: there H must fix the prefix.
 The search applies the lemma at every interior level.  The root prunes its
 centers by Aut(G).  A node with slots >= 3 and placed prefix P prunes the
 first leaf of each leaf set at c by the stabilizer of P and c, one orbit
-query object per center.  It hands the child below each star (c, L) the
-stabilizer of P plus (c, L), and the child prunes its centers with it.
-Pruning each later leaf l_i by the stabilizer of l_1..l_{i-1} as well (the
-refinement of McKay and Piperno) skipped no leaf set the first leaf had not
-already skipped, on the hypercube bench ops and the symmetric test family,
-so the search prunes by the first leaf only.  Two limits hold:
+query object per center, which starts from the coloring of P's object and
+from every automorphism the solve has verified that keeps its cells.  It
+hands the child below each star (c, L) the stabilizer of P plus (c, L), and
+the child prunes its centers with it.  Pruning each later leaf l_i by the
+stabilizer of l_1..l_{i-1} as well (the refinement of McKay and Piperno)
+skipped no leaf set the first leaf had not already skipped, on the
+hypercube bench ops and the symmetric test family, so the search prunes by
+the first leaf only.  Two limits hold:
 - No orbits into the last level below the root: a slots == 2 node hands
   its children none.  The memo argument allows them, and a variant that
   passed them changed no tested result, but one orbit query per last-level
@@ -121,10 +124,11 @@ so the search prunes by the first leaf only.  Two limits hold:
   against 0.09 s.
 - No leaf pruning at slots == 2.  A variant that pruned there took 0.12 s
   per hypercube bench pass against 0.09 s.
-On Q6 with M=1 the size-5 solve takes 1.1 s (structure) and 3.8 s
+On Q6 with M=1 the size-5 solve takes 0.95 s (structure) and 3.0 s
 (substructure), best of six on a 2-vCPU VM.  The automorphisms come from
 starcut.symmetry, which finds and verifies them lazily, one Orbits object
-per coloring, and only on regular graphs.
+per coloring, and only on regular graphs, and shares them across one
+solve's queries.
 
 oracle_connectivity is deliberately dumber: enumerate vertex subsets, test
 the cut condition, and cover the subset by disjoint stars via memoized
@@ -153,8 +157,8 @@ from .cuts import (
     remainder_is_cut,
     trivial_remainder,
 )
-from .graph import Graph, bits, mask_connected
-from .symmetry import Orbits, is_regular
+from .graph import Graph, bits, mask_connected, mask_span
+from .symmetry import Orbits, Shared, is_regular
 
 ORACLE_SIZE_CAP = 14
 
@@ -231,8 +235,9 @@ class _Engine:
         self.joined = 0
         self.split = 0
         self.settled = 0
-        # BFS distances from each vertex, shared by every orbit query.
-        self.dist: dict[int, list[int]] = {}
+        # What every orbit query object of this solve shares; the first
+        # _orbits call builds it, so irregular graphs never do.
+        self.shared: Shared | None = None
 
     # -- prune predicates ------------------------------------------------
 
@@ -333,37 +338,23 @@ class _Engine:
         if self.split & cbit or self.frame is None:
             return False
         rest, attach = self.frame
-        masks = self.g.masks
-        outside = ~(masks[c] | cbit)
+        outside = ~(self.g.masks[c] | cbit)
         zmin = rest & outside
-        attach &= outside
-        ok = bool(zmin)
-        while ok and attach:
-            bit = attach & -attach
-            attach ^= bit
-            ok = bool(masks[bit.bit_length() - 1] & zmin)
-        if ok and mask_connected(self.g, zmin):
+        # One BFS gives G[Zmin]'s connectivity and N(Zmin) for the attach test.
+        reach, around = mask_span(self.g, zmin)
+        if zmin and reach == zmin and not attach & outside & ~around:
             self.joined |= cbit
-            if self._frame_settles(c, zmin):
+            if self._frame_settles(c, zmin, around):
                 self.settled |= cbit
             return True
         self.split |= cbit
         return False
 
-    def _frame_settles(self, c: int, zmin: int) -> bool:
-        # The sibling corollary (module docstring), given G[Zmin] connected:
-        # |Zmin| >= 2 and every vertex of N_P(c) - c1 has a neighbor in Zmin.
-        if not zmin & (zmin - 1):
-            return False
+    def _frame_settles(self, c: int, zmin: int, around: int) -> bool:
+        # The sibling corollary (module docstring), given G[Zmin] connected
+        # with neighborhood around: |Zmin| >= 2 and N_P(c) - c1 lies in it.
         rest, nb1 = self.frame
-        masks = self.g.masks
-        nb = masks[c] & (rest | nb1)
-        while nb:
-            bit = nb & -nb
-            nb ^= bit
-            if not masks[bit.bit_length() - 1] & zmin:
-                return False
-        return True
+        return bool(zmin & (zmin - 1)) and not self.g.masks[c] & (rest | nb1) & ~around
 
     def _orbits(self, *cells: int) -> Orbits:
         """Orbit queries under the automorphisms that keep each mask in cells.
@@ -371,7 +362,9 @@ class _Engine:
         The stabilizer lemma's H: a placed star is passed as its center and
         its leaf set, and a center whose leaves are pruned as itself.
         """
-        return Orbits(self.g, cells, self._check_deadline, self.dist)
+        if self.shared is None:
+            self.shared = Shared(self.g)
+        return Orbits(self.shared, cells, self._check_deadline)
 
     # -- star enumeration --------------------------------------------------
 

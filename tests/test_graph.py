@@ -15,6 +15,7 @@ from starcut import (
     path,
     star,
 )
+from starcut.graph import mask_span
 
 
 def test_build_basics():
@@ -153,17 +154,17 @@ def _components(g, mask):
     return {v: root(v) for v in parent}
 
 
-@given(
-    st.integers(min_value=1, max_value=8).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16
-            ),
-            st.integers(0, (1 << n) - 1),
-        )
+# (n, raw edge list, vertex mask) on up to 8 vertices.
+_MASK_CASES = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16),
+        st.integers(0, (1 << n) - 1),
     )
 )
+
+
+@given(_MASK_CASES)
 def test_mask_connected_matches_components(case):
     n, raw, mask = case
     g = build(n, [(u, v) for u, v in raw if u != v])
@@ -172,3 +173,20 @@ def test_mask_connected_matches_components(case):
     assert mask_connected(g, 0)
     for v in range(n):
         assert mask_connected(g, 1 << v)
+
+
+@given(_MASK_CASES)
+def test_mask_span_matches_components(case):
+    # The component of the mask's least vertex, and the OR of its rows.
+    n, raw, mask = case
+    g = build(n, [(u, v) for u, v in raw if u != v])
+    assert mask_span(g, 0) == (0, 0)
+    if not mask:
+        return
+    comp = _components(g, mask)
+    least = comp[min(comp)]
+    want = [v for v in comp if comp[v] == least]
+    around = 0
+    for v in want:
+        around |= g.masks[v]
+    assert mask_span(g, mask) == (sum(1 << v for v in want), around)

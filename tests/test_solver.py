@@ -45,7 +45,7 @@ from starcut import (
 )
 from starcut.graph import bits
 from starcut.solver import ORACLE_SIZE_CAP, _best_partition, _Engine
-from starcut.symmetry import Orbits
+from starcut.symmetry import Orbits, is_regular
 
 BOWTIE = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -816,6 +816,78 @@ def test_sibling_test_is_unknown_without_a_frame(monkeypatch):
     assert bfs["calls"] == shared["calls"] > 0 and shared["true"] == 0
 
 
+def _old_sibling_verdict(engine, c):
+    """(joined, settled) at c by the attach loop, a BFS over Zmin and the
+    corollary's loop over N_P(c) - c1, each vertex by itself."""
+    if engine.frame is None:
+        return False, False
+    rest, attach = engine.frame
+    masks = engine.g.masks
+    outside = ~(masks[c] | 1 << c)
+    zmin = rest & outside
+    joined = (
+        zmin != 0
+        and all(masks[a] & zmin for a in bits(attach & outside))
+        and mask_connected(engine.g, zmin)
+    )
+    settled = (
+        joined
+        and zmin.bit_count() >= 2
+        and all(masks[v] & zmin for v in bits(masks[c] & (rest | attach)))
+    )
+    return joined, settled
+
+
+def test_sibling_verdicts_match_the_per_vertex_loops(monkeypatch):
+    # The shared test reads both of its mask checks off one BFS over Zmin;
+    # every verdict the search asks for must match the per-vertex loops.
+    seen = {"joined": 0, "settled": 0, "split": 0}
+    fn = _Engine._siblings_joined
+
+    def checked(self, c):
+        split = self.split >> c & 1
+        joined, settled = (False, False) if split else _old_sibling_verdict(self, c)
+        got = fn(self, c)
+        assert (got, bool(self.settled >> c & 1)) == (joined, settled), (self.frame, c)
+        seen["joined"] += joined
+        seen["settled"] += settled
+        seen["split"] += not joined
+        return got
+
+    monkeypatch.setattr(_Engine, SIBLING_TEST, checked)
+    for g, *_ in connected_corpus(60, max_n=11, seed0=0):
+        for m in range(4):
+            structure_connectivity(g, m, g.n)
+            substructure_connectivity(g, m, g.n)
+    for d in (4, 5):
+        for m in (1, 2, 3):
+            t = d - 1 if m == 1 else -(-d // 2)
+            structure_connectivity(hypercube(d), m, t)
+            substructure_connectivity(hypercube(d), m, t)
+    assert min(seen.values()) > 1000, seen
+
+
+def test_irregular_solves_build_no_orbit_record(monkeypatch):
+    # The shared orbit record is built by the first orbit query object, and
+    # only regular graphs make one; the corpus and the gadgets are irregular.
+    engines = []
+    search = _Engine.search
+
+    def searching(self, *args):
+        engines.append(self)
+        return search(self, *args)
+
+    monkeypatch.setattr(_Engine, "search", searching)
+    g = next(g for g, *_ in connected_corpus(20) if not is_regular(g))
+    red = reduce_3dm(gen_random_3dm(2, 0, True, 1), 5, allow_unrestricted=True)
+    for host, m in ((g, 1), (red.graph, red.m)):
+        engines.clear()
+        structure_connectivity(host, m, 2)
+        assert engines and all(e.shared is None for e in engines)
+    structure_connectivity(hypercube(4), 1, 2)
+    assert engines[-1].shared is not None
+
+
 # Lin, Zhang, Fan, Wang (TCS 634, 2016): kappa(Q_d; K_{1,1}) = d - 1 and
 # kappa(Q_d; K_{1,M}) = ceil(d/2) for M = 2, 3, for structure and
 # substructure alike.
@@ -1003,39 +1075,124 @@ def test_root_rule_agrees_with_oracle():
                     assert (got.value, got.complete) == (want.value, want.complete)
 
 
+def _stabilizer_cases(g):
+    """All automorphisms of g by brute force, and the cells of the colorings
+    the search uses, in the order it builds them: the root's (no cells),
+    vertex 0 fixed, a star at 0 with one or two leaves, that star plus each
+    next center c whose first leaf is pruned, and two placed stars: 0 with
+    its least leaf, then the least vertex outside N[0] with its least
+    neighbor outside the first star.
+    """
+    autos = [
+        p for p in permutations(range(g.n))
+        if all(g.masks[p[x]] == sum(1 << p[y] for y in bits(row))
+               for x, row in enumerate(g.masks))
+    ]
+    chain = [(), (1,)]
+    leaves = bits(g.masks[0])
+    for k in (1, 2):
+        if k > len(leaves):
+            break
+        lmask = sum(1 << v for v in leaves[:k])
+        chain.append((1, lmask))
+        chain += [(1, lmask, 1 << c) for c in bits(g.full_mask & ~lmask & ~1)]
+        if k == 1:
+            for c in bits(g.full_mask & ~g.masks[0] & ~1)[:1]:
+                for leaf in bits(g.masks[c] & ~(1 | lmask))[:1]:
+                    chain.append((1, lmask, 1 << c, 1 << leaf))
+    return autos, chain
+
+
+def _keeping(autos, cells):
+    return [p for p in autos if all(sum(1 << p[v] for v in bits(cell)) == cell for cell in cells)]
+
+
 def test_root_skips_no_least_vertex_of_an_orbit():
     # Brute force: every vertex a query skips has an automorphism that keeps
-    # the cells and maps it below itself.  The colorings are the root's (no
-    # cells), vertex 0 fixed, a star at 0 with one or two leaves, that star
-    # plus each next center c whose first leaf is pruned, and two placed
-    # stars: 0 with its least leaf, then the least vertex outside N[0] with
-    # its least neighbor outside the first star.
+    # the cells and maps it below itself.  Each object here is the first of
+    # its engine, so it finds every automorphism it uses itself.
     skipped = 0
     for g in connected_graphs_upto(6) + [DECOY]:
-        autos = [
-            p for p in permutations(range(g.n))
-            if all(g.masks[p[x]] == sum(1 << p[y] for y in bits(row))
-                   for x, row in enumerate(g.masks))
-        ]
-        leaves = bits(g.masks[0])
-        stars = [(1, sum(1 << v for v in leaves[:k])) for k in (1, 2) if k <= len(leaves)]
-        stars += [
-            (1, lmask, 1 << c) for _, lmask in stars for c in bits(g.full_mask & ~lmask & ~1)
-        ]
-        for first in leaves[:1]:
-            for c in bits(g.full_mask & ~g.masks[0] & ~1)[:1]:
-                for leaf in bits(g.masks[c] & ~(1 | 1 << first))[:1]:
-                    stars.append((1, 1 << first, 1 << c, 1 << leaf))
-        for cells in [(), (1,)] + stars:
-            group = [
-                p for p in autos
-                if all(sum(1 << p[v] for v in bits(cell)) == cell for cell in cells)
-            ]
+        autos, chain = _stabilizer_cases(g)
+        for cells in chain:
+            group = _keeping(autos, cells)
             skip = followers(g, *cells)
             skipped += skip.bit_count()
             for x in bits(skip):
                 assert min(p[x] for p in group) < x, (tuple(g.edges()), cells, x)
     assert skipped > 1200  # 446 of them under a star plus the next center
+
+
+def test_shared_automorphisms_skip_no_least_vertex(monkeypatch):
+    # The same cells, built through one engine in the search's order, so each
+    # object starts from the coloring of its longest started prefix and joins
+    # every automorphism an earlier object stored that keeps its cells.  A
+    # skip must still have a witness in the stabilizer of its own cells.
+    joins = _tally(monkeypatch, Orbits, "_join")
+    found = skipped = 0
+    for g in connected_graphs_upto(6) + [DECOY]:
+        autos, chain = _stabilizer_cases(g)
+        engine = _Engine(g, 1, STRUCTURE, SearchOptions())
+        for cells in chain:
+            group = _keeping(autos, cells)
+            orbits = engine._orbits(*cells)
+            for x in range(g.n):
+                if orbits.follows(x):
+                    skipped += 1
+                    assert min(p[x] for p in group) < x, (tuple(g.edges()), cells, x)
+        found += len(engine.shared.autos)
+    # Each found automorphism joins its finder once; the rest were absorbed.
+    absorbed = joins["calls"] - found
+    assert skipped > 1200 and absorbed > 700, (skipped, absorbed)
+
+
+def _direct_coloring(g, cells):
+    """Color ids by first vertex of each key: per cell, the sorted distances."""
+    dist = []
+    for u in range(g.n):
+        d, seen, frontier, step = [0] * g.n, 1 << u, 1 << u, 0
+        while frontier:
+            step += 1
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= g.masks[v]
+            frontier = nxt & ~seen
+            seen |= frontier
+            for v in bits(frontier):
+                d[v] = step
+        dist.append(d)
+    ids = {}
+    return [
+        ids.setdefault(tuple(tuple(sorted(dist[u][v] for u in bits(cell))) for cell in cells), len(ids))
+        for v in range(g.n)
+    ]
+
+
+def test_prefix_refined_colorings_match_direct_colorings():
+    # Cell chains shaped like the search's: the root, a center c, the star
+    # (c, L), then a next center c2 and a star at it.  Each object refines
+    # its prefix's stored coloring by its last cells only, and must reach
+    # the coloring, ids and all, that coloring by all cells at once gives.
+    chains = 0
+    for g in symmetric_family():
+        for c in range(0, g.n, 3):
+            nb = bits(g.masks[c])
+            for k in (1, 2):
+                engine = _Engine(g, 1, STRUCTURE, SearchOptions())
+                lmask = sum(1 << v for v in nb[:k])
+                cells = ((), (1 << c,), (1 << c, lmask))
+                for c2 in bits(g.full_mask & ~g.masks[c] & ~(1 << c))[:2]:
+                    cells += ((1 << c, lmask, 1 << c2),)
+                    l2 = g.masks[c2] & ~lmask
+                    if l2:
+                        cells += ((1 << c, lmask, 1 << c2, l2 & -l2),)
+                for chain in cells:
+                    orbits = engine._orbits(*chain)
+                    orbits.follows(0)
+                    assert orbits.color == _direct_coloring(g, chain), (g, chain)
+                assert len(engine.shared.colors) == len(set(cells))
+                chains += 1
+    assert chains > 200, chains
 
 
 def test_vertex_transitive_hosts_keep_only_root_0():
