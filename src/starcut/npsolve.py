@@ -9,7 +9,7 @@ certificate is re-verified by an independent checker before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .graph import Graph, bits
 
@@ -96,6 +96,29 @@ def verify_matching(inst: ThreeDMInstance, indices: tuple[int, ...]) -> bool:
     return True
 
 
+def _first_path(root: Any, branch: Callable[[Any], Iterable[tuple] | None]) -> list | None:
+    """The steps from root to the first goal of a depth-first search, or None.
+
+    branch(state) returns None at a goal, else the (step, child) pairs to try
+    in order.  The stack holds one iterator of untried pairs per level, so
+    the path is not bounded by Python's recursion limit.
+    """
+    steps: list = []
+    pending: list[Iterator[tuple]] = []
+    children = branch(root)
+    while children is not None:
+        pending.append(iter(children))
+        while (pair := next(pending[-1], None)) is None:
+            pending.pop()
+            if not pending:
+                return None
+            steps.pop()
+        step, child = pair
+        steps.append(step)
+        children = branch(child)
+    return steps
+
+
 def solve_3dm(inst: ThreeDMInstance) -> tuple[int, ...] | None:
     """Exhaustive backtracking for a perfect matching; None when unsolvable.
 
@@ -103,8 +126,7 @@ def solve_3dm(inst: ThreeDMInstance) -> tuple[int, ...] | None:
     triples (fail-first, lowest slot on ties), trying its triples in index
     order, which keeps desk-scale instances instant.  The state is one
     bitmask of covered W slots; a triple is free while its slot mask misses
-    it.  The backtracking keeps its own stack, one branch per chosen triple,
-    so the matching size is not bounded by Python's recursion limit.
+    it.  It runs on _first_path, as solve_vertex_cover does.
     """
     n = inst.n
     # candidates[slot] = triple indices touching that W slot (0..3n-1).
@@ -117,38 +139,25 @@ def solve_3dm(inst: ThreeDMInstance) -> tuple[int, ...] | None:
             mask |= 1 << s
         masks.append(mask)
 
-    def branch(covered: int) -> Iterator[int]:
+    def branch(covered: int) -> Iterable[tuple[int, int]] | None:
         # Fail-first: the free triples of the scarcest uncovered slot, none
         # when some uncovered slot has no free triple left.
-        best_slot = -1
-        best = None
+        best_slot, best = -1, None
         for slot in range(3 * n):
             if covered >> slot & 1:
                 continue
             c = sum(1 for i in candidates[slot] if not masks[i] & covered)
             if c == 0:
-                return
+                return ()
             if best is None or c < best:
                 best, best_slot = c, slot
-        for i in candidates[best_slot]:
-            if not masks[i] & covered:
-                yield i
-
-    picked: list[int] = []
-    covered = 0
-    # pending[k] yields the untried triples below the first k picks.
-    pending = [branch(0)]
-    while len(picked) < n:
-        i = next(pending[-1], None)
-        if i is not None:
-            picked.append(i)
-            covered |= masks[i]
-            pending.append(branch(covered))
-            continue
-        pending.pop()
-        if not picked:
+        if best is None:  # every slot is covered
             return None
-        covered ^= masks[picked.pop()]
+        return ((i, covered | masks[i]) for i in candidates[best_slot] if not masks[i] & covered)
+
+    picked = _first_path(0, branch)
+    if picked is None:
+        return None
     result = tuple(sorted(picked))
     if not verify_matching(inst, result):
         raise AssertionError("solver produced an invalid matching certificate")
@@ -178,50 +187,39 @@ def solve_vertex_cover(inst: VertexCoverInstance) -> tuple[int, ...] | None:
     """Branch and bound on the max-degree vertex; exact for the decision.
 
     Returns some cover of size <= k when one exists (not necessarily a
-    minimum one), re-verified against every edge, else None.
+    minimum one), re-verified against every edge, else None.  It runs on
+    _first_path, as solve_3dm does; a step is a mask of cover vertices.
     """
     g = inst.graph
+    masks = g.masks
 
-    def search(alive_mask: int, budget: int, chosen: list[int]) -> list[int] | None:
+    def branch(state: tuple[int, int]) -> list[tuple[int, tuple[int, int]]] | None:
+        alive, budget = state
         # Find the max-degree vertex within the still-alive subgraph, and
         # the degree sum (twice the alive edge count) for the bound below.
-        best_v = -1
-        best_deg = 0
-        degree_sum = 0
-        masks = g.masks
-        for v in bits(alive_mask):
-            d = (masks[v] & alive_mask).bit_count()
+        best_v, best_deg, degree_sum = -1, 0, 0
+        for v in bits(alive):
+            d = (masks[v] & alive).bit_count()
             degree_sum += d
             if d > best_deg:
                 best_deg, best_v = d, v
         if best_deg == 0:
-            return chosen
-        if budget == 0:
             return None
         # Matching-based lower bound: each budget unit kills at most best_deg
         # edges, so bail when even that cannot pay for the remaining edges.
-        if degree_sum // 2 > budget * best_deg:
-            return None
-        # Branch 1: take best_v.
-        got = search(alive_mask & ~(1 << best_v), budget - 1, chosen + [best_v])
-        if got is not None:
-            return got
-        # Branch 2: exclude best_v, so all its alive neighbors are forced in.
-        forced = masks[best_v] & alive_mask
-        fc = forced.bit_count()
-        if fc <= budget:
-            got = search(
-                alive_mask & ~forced & ~(1 << best_v), budget - fc, chosen + bits(forced)
-            )
-            if got is not None:
-                return got
-        return None
+        if budget == 0 or degree_sum // 2 > budget * best_deg:
+            return []
+        # Take best_v; else exclude it, which forces all its alive neighbors in.
+        vbit = 1 << best_v
+        forced = masks[best_v] & alive
+        left = budget - forced.bit_count()
+        steps = [(vbit, (alive ^ vbit, budget - 1)), (forced, (alive ^ forced ^ vbit, left))]
+        return steps if left >= 0 else steps[:1]
 
-    found = search(g.full_mask, inst.k, [])
+    found = _first_path((g.full_mask, inst.k), branch)
     if found is None:
         return None
-    result = tuple(sorted(found))
+    result = tuple(bits(sum(found)))
     if len(result) > inst.k or not is_vertex_cover(g, result):
         raise AssertionError("solver produced an invalid cover certificate")
     return result
-

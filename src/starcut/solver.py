@@ -120,10 +120,10 @@ the first leaf only.  Two limits hold:
 - No orbits into the last level below the root: a slots == 2 node hands
   its children none.  The memo argument allows them, and a variant that
   passed them changed no tested result, but one orbit query per last-level
-  center costs more than it saves: a hypercube bench pass took 0.32 s
-  against 0.09 s.
-- No leaf pruning at slots == 2.  A variant that pruned there took 0.12 s
-  per hypercube bench pass against 0.09 s.
+  center costs more than it saves: it made a hypercube bench pass take
+  2.95 times as long.
+- No leaf pruning at slots == 2.  A variant that pruned there made a
+  hypercube bench pass take 1.43 times as long.
 On Q6 with M=1 the size-5 solve takes 0.95 s (structure) and 3.0 s
 (substructure), best of six on a 2-vCPU VM.  The automorphisms come from
 starcut.symmetry, which finds and verifies them lazily, one Orbits object
@@ -143,7 +143,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .cuts import (
     STRUCTURE,
@@ -368,39 +368,42 @@ class _Engine:
 
     # -- star enumeration --------------------------------------------------
 
-    def _leaf_sets(self, c: int, nb: int) -> Iterator[int]:
-        """Yield the leaf masks of the stars at c with leaves in nb, lexicographically.
+    def _leaf_sets(self, c: int, nb: int) -> Iterable[int]:
+        """The leaf masks of the stars at c with leaves in nb, lexicographically.
 
         Single-leaf stars whose leaf precedes the center are suppressed: the
         flipped orientation is canonical and is produced at the other center.
+        A structure mask is the sum of an M-subset of nb's bits, which are
+        disjoint; substructure masks come from _grown_leaf_sets.
         """
+        if not self.exact:
+            return self._grown_leaf_sets(c, nb)
+        if self.m == 1:
+            nb &= -(2 << c)
+        sets = map(sum, combinations([1 << v for v in bits(nb)], self.m))
+        if self.opts.induced:
+            return (s for s in sets if leaves_independent(self.g.masks, bits(s)))
+        return sets
+
+    def _grown_leaf_sets(self, c: int, nb: int) -> Iterator[int]:
+        # _leaf_sets for substructure stars, depth first on one stack.  An entry
+        # (i, leaves) adds the i-th neighbor to leaves; its extensions pop first.
         masks, m, induced = self.g.masks, self.m, self.opts.induced
         cands = bits(nb)
-        if self.exact:
-            for combo in combinations(cands, m):
-                if m == 1 and combo[0] < c:
-                    continue
-                if induced and not leaves_independent(masks, combo):
-                    continue
-                leaves = 0
-                for leaf in combo:
-                    leaves |= 1 << leaf
+        cbit, last = 1 << c, len(cands) - 1
+        yield 0
+        stack = [(0, 0)] if m and nb else []
+        while stack:
+            i, leaves = stack.pop()
+            if i < last:
+                stack.append((i + 1, leaves))
+            if induced and leaves & masks[cands[i]]:
+                continue
+            leaves |= 1 << cands[i]
+            if leaves & (leaves - 1) or leaves > cbit:
                 yield leaves
-            return
-        cbit = 1 << c
-
-        def grow(start: int, leaves: int, room: int) -> Iterator[int]:
-            if leaves & (leaves - 1) or leaves > cbit or not leaves:
-                yield leaves
-            if not room:
-                return
-            for i in range(start, len(cands)):
-                leaf = cands[i]
-                if induced and leaves & masks[leaf]:
-                    continue
-                yield from grow(i + 1, leaves | 1 << leaf, room - 1)
-
-        yield from grow(0, 0, m)
+            if i < last and leaves.bit_count() < m:
+                stack.append((i + 1, leaves))
 
     # -- the search --------------------------------------------------------
 
@@ -632,10 +635,7 @@ def oracle_connectivity(
             break
         if exact and size % (m + 1):
             continue
-        for combo in combinations(range(g.n), size):
-            xmask = 0
-            for x in combo:
-                xmask |= 1 << x
+        for xmask in map(sum, combinations([1 << v for v in range(g.n)], size)):
             if not remainder_is_cut(g, xmask, strict_trivial=strict_trivial):
                 continue
             got = _best_partition(g, xmask, m, exact, induced, memo)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -294,11 +295,17 @@ def test_missing_file_is_an_error(tmp_path, capsys):
 
 
 def test_recursion_overflow_is_inconclusive(files, capsys):
-    # solve_vertex_cover recurses once per chosen vertex.  On a path of 2400
-    # vertices with k = 1200 it takes every other vertex, one level each, so
-    # the stack overflows before any answer: exit 3, not NO.
-    long_path = files("long.graph", write_graph(path(2400)))
-    assert run(["oracle", "vc", "--graph", long_path, "--k", "1200"]) == 3
+    # The search recurses once per placed star, and K_300 with bare K_1
+    # stars needs 299 of them.  With the limit 150 frames above this one the
+    # stack overflows before any answer: exit 3, not NO.
+    k300 = files("k300.graph", write_graph(complete(300)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        code = run(["solve", "--graph", k300, "--M", "0", "--sub", "--tmax", "300"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")

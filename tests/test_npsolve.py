@@ -196,6 +196,37 @@ def test_solve_vertex_cover_p4():
     assert is_vertex_cover(inst.graph, got)
 
 
+# sha256 of repr(_pinned_covers()).  `oracle vc` prints the cover, so which
+# one is returned must not drift.
+SOLVE_VERTEX_COVER_SHA256 = "fe23bf4c4a6adcf5a7662fe5c29005f04568f21afcea2d5feaf89dded487ac16"
+
+
+def _pinned_covers():
+    found = []
+    for n in range(2, 11):
+        for p in (0.2, 0.5, 0.8):
+            for seed in range(40):
+                g = gen_random_graph(n, p, seed)
+                found.extend(solve_vertex_cover(VertexCoverInstance(g, k)) for k in range(1, n))
+    return found
+
+
+def test_solve_vertex_cover_returns_the_pinned_covers():
+    found = _pinned_covers()
+    assert len(found) == 5400
+    assert sum(f is not None for f in found) == 3140
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == SOLVE_VERTEX_COVER_SHA256
+
+
+def test_solve_vertex_cover_answers_a_deep_cover():
+    # Every other vertex of a 2400-vertex path, one branching step each: far
+    # deeper than Python's default recursion limit.
+    g = path(2400)
+    got = solve_vertex_cover(VertexCoverInstance(g, 1200))
+    assert got is not None and len(got) == 1200
+    assert is_vertex_cover(g, got)
+
+
 def _cover_by_enumeration(g, k):
     for size in range(k + 1):
         for sel in combinations(range(g.n), size):

@@ -381,6 +381,16 @@ def test_leaf_sets_follow_the_sorted_leaf_tuples():
     assert seen > 20000, seen
 
 
+def test_leaf_sets_reach_past_the_recursion_limit():
+    # K_{2,1200}: the only cutting star is hub 0 with all 1200 leaves, which
+    # leaves hub 1 alone.  The substructure walk grows that leaf set one leaf
+    # at a time, so it must not recurse per leaf.
+    g = build(1202, [(hub, v) for hub in (0, 1) for v in range(2, 1202)])
+    res = substructure_connectivity(g, 1205, 2)
+    assert res.value == 1
+    assert _cert(res) == ((0, tuple(range(2, 1202))),)
+
+
 # -- the hopeless-center rule -------------------------------------------------
 
 
